@@ -1,9 +1,9 @@
-// Command hloload is the load, soak, and ramp harness for hlod and the
-// compile farm. The default shape drives N concurrent closed-loop
-// clients over the specsuite benchmark × budget matrix for a fixed
-// duration and reports throughput and latency percentiles; -rate
-// switches to open-loop Poisson arrivals (a soak that does not slow
-// down when the server does), and -stages sweeps a concurrency ramp.
+// Command hloload is the load and soak harness for hlod and the compile
+// farm. It drives N concurrent closed-loop clients over the specsuite
+// benchmark × budget matrix for a fixed duration and reports throughput
+// and latency percentiles. With -backends it drives a farm of daemons
+// directly, sharding each request body to one daemon by rendezvous
+// hash.
 //
 // Usage:
 //
@@ -12,17 +12,10 @@
 // Flags:
 //
 //	-addr URL      daemon base URL (default http://127.0.0.1:8080)
-//	-backends URL,URL,...  farm mode without a gateway: shard each
-//	               request to its rendezvous-hash backend, exactly as
-//	               hlogate would (overrides -addr)
+//	-backends URL,URL,...  farm mode: shard each request body to its
+//	               rendezvous-hash daemon (overrides -addr)
 //	-c N           concurrent clients (default 4)
 //	-d 10s         run duration
-//	-rate R        open-loop mode: Poisson arrivals at R req/s instead
-//	               of closed-loop clients (no retries; shed arrivals
-//	               beyond -max-outstanding are counted, not queued)
-//	-max-outstanding N  in-flight cap in open-loop mode (default 64)
-//	-stages SPEC   concurrency ramp, e.g. "2:15s,4:15s,8:15s" — each
-//	               stage is a closed-loop run at that client count
 //	-endpoint E    compile | run (default compile)
 //	-bench a,b,c   specsuite benchmarks to cycle (default small trio)
 //	-budgets list  HLO budgets to cycle (default 50,100,150,200)
@@ -32,18 +25,14 @@
 //	               empty disables)
 //	-key NAME      scenario key for the JSON merge (default
 //	               hloload/<endpoint>/c<N>) — lets a farm benchmark
-//	               record e.g. farm/compile/2-daemons
+//	               record e.g. farm/compile/2-daemons-sharded
 //	-retries N     per-request retry budget for 429/transport failures
-//	               (default 0 = unlimited; closed-loop only)
+//	               (default 0 = unlimited)
 //	-backoff D     first backoff delay; grows exponentially with jitter,
 //	               always honoring the server's Retry-After — both its
 //	               delta-seconds and HTTP-date forms (default 50ms)
 //	-backoff-cap D ceiling on the exponential backoff (default 2s)
-//	-breaker N     open a shared circuit breaker after N consecutive
-//	               failures (default 0 = disabled)
-//	-breaker-cooldown D  how long the circuit stays open (default 1s)
-//	-seed N        jitter seed, for reproducible retry and arrival
-//	               schedules
+//	-seed N        jitter seed, for reproducible retry schedules
 //
 // Exit status is non-zero if the run saw any transport error or any
 // response that was neither 2xx nor 429 — under admission control
@@ -69,9 +58,6 @@ func main() {
 	backends := flag.String("backends", "", "comma-separated hlod base URLs (client-side rendezvous sharding)")
 	clients := flag.Int("c", 4, "concurrent clients")
 	dur := flag.Duration("d", 10*time.Second, "run duration")
-	rate := flag.Float64("rate", 0, "open-loop Poisson arrival rate in req/s (0 = closed loop)")
-	maxOut := flag.Int("max-outstanding", 0, "open-loop in-flight cap (0 = 64)")
-	stages := flag.String("stages", "", "concurrency ramp, e.g. 2:15s,4:15s,8:15s")
 	endpoint := flag.String("endpoint", "compile", "compile | run")
 	bench := flag.String("bench", "", "comma-separated specsuite benchmarks")
 	budgets := flag.String("budgets", "", "comma-separated HLO budgets")
@@ -82,38 +68,26 @@ func main() {
 	retries := flag.Int("retries", 0, "per-request retry budget (0 = unlimited)")
 	backoff := flag.Duration("backoff", 50*time.Millisecond, "first backoff delay")
 	backoffCap := flag.Duration("backoff-cap", 2*time.Second, "exponential backoff ceiling")
-	breaker := flag.Int("breaker", 0, "consecutive failures that open the circuit breaker (0 = disabled)")
-	cooldown := flag.Duration("breaker-cooldown", time.Second, "how long the circuit stays open")
 	seed := flag.Int64("seed", 0, "jitter seed for reproducible retry schedules")
 	flag.Parse()
 
 	cfg := serve.LoadConfig{
-		BaseURL:        strings.TrimRight(*addr, "/"),
-		Clients:        *clients,
-		Duration:       *dur,
-		Rate:           *rate,
-		MaxOutstanding: *maxOut,
-		Endpoint:       *endpoint,
-		Profile:        *profileFlag,
-		CrossModule:    *cross,
+		BaseURL:     strings.TrimRight(*addr, "/"),
+		Clients:     *clients,
+		Duration:    *dur,
+		Endpoint:    *endpoint,
+		Profile:     *profileFlag,
+		CrossModule: *cross,
 		Retry: serve.RetryConfig{
-			Retries:          *retries,
-			Base:             *backoff,
-			Cap:              *backoffCap,
-			BreakerThreshold: *breaker,
-			BreakerCooldown:  *cooldown,
-			Seed:             *seed,
+			Retries: *retries,
+			Base:    *backoff,
+			Cap:     *backoffCap,
+			Seed:    *seed,
 		},
 	}
 	for _, b := range strings.Split(*backends, ",") {
 		if b = strings.TrimSpace(b); b != "" {
 			cfg.Backends = append(cfg.Backends, strings.TrimRight(b, "/"))
-		}
-	}
-	if *stages != "" {
-		var err error
-		if cfg.Stages, err = parseStages(*stages); err != nil {
-			fatal(err)
 		}
 	}
 	if *bench != "" {
@@ -137,18 +111,11 @@ func main() {
 	fmt.Printf("endpoint=%s clients=%d duration=%.1fs\n", cfg.Endpoint, cfg.Clients, rep.WallS)
 	fmt.Printf("requests=%d throughput=%.1f req/s rejected-429=%d transport-errors=%d bad-responses=%d\n",
 		rep.Requests, rep.Throughput, rep.Rejected, rep.TransportErrors, rep.BadResponses)
-	fmt.Printf("retries=%d dropped=%d breaker-opens=%d\n", rep.Retries, rep.Dropped, rep.BreakerOpens)
+	fmt.Printf("retries=%d dropped=%d\n", rep.Retries, rep.Dropped)
 	fmt.Printf("latency p50=%.1fms p90=%.1fms p99=%.1fms max=%.1fms\n",
 		rep.P50MS, rep.P90MS, rep.P99MS, rep.MaxMS)
 	fmt.Printf("queue-wait p50=%.1fms p99=%.1fms  service p50=%.1fms p99=%.1fms\n",
 		rep.QueueP50MS, rep.QueueP99MS, rep.ServiceP50MS, rep.ServiceP99MS)
-	if cfg.Rate > 0 {
-		fmt.Printf("open-loop offered=%.1f req/s overload-dropped=%d\n", rep.OfferedRPS, rep.Overload)
-	}
-	for i, stg := range rep.Stages {
-		fmt.Printf("  stage %d: c=%d throughput=%.1f req/s p50=%.1fms p99=%.1fms rejected=%d\n",
-			i, stg.Clients, stg.Throughput, stg.P50MS, stg.P99MS, stg.Rejected)
-	}
 	for code, n := range rep.ByStatus {
 		fmt.Printf("  status %s: %d\n", code, n)
 	}
@@ -164,38 +131,9 @@ func main() {
 	}
 }
 
-// parseStages reads a ramp spec like "2:15s,4:15s,8:15s" — client
-// count, colon, stage duration.
-func parseStages(spec string) ([]serve.Stage, error) {
-	var out []serve.Stage
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		c, d, ok := strings.Cut(part, ":")
-		if !ok {
-			return nil, fmt.Errorf("bad stage %q: want CLIENTS:DURATION", part)
-		}
-		n, err := strconv.Atoi(strings.TrimSpace(c))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad stage client count %q", c)
-		}
-		dur, err := time.ParseDuration(strings.TrimSpace(d))
-		if err != nil {
-			return nil, fmt.Errorf("bad stage duration %q: %v", d, err)
-		}
-		out = append(out, serve.Stage{Clients: n, Duration: dur})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty -stages spec %q", spec)
-	}
-	return out, nil
-}
-
 // mergeReport read-modify-writes the report into the JSON file under a
 // key naming the scenario, in the same shape as BENCH_experiments.json
-// (scenario → metric → value). Ramp stages get one sub-key per rung.
+// (scenario → metric → value).
 func mergeReport(path, key string, cfg serve.LoadConfig, rep *serve.LoadReport) error {
 	if key == "" {
 		key = fmt.Sprintf("hloload/%s/c%d", cfg.Endpoint, cfg.Clients)
@@ -221,21 +159,6 @@ func mergeReport(path, key string, cfg serve.LoadConfig, rep *serve.LoadReport) 
 		"queue_p99_ms":     rep.QueueP99MS,
 		"service_p50_ms":   rep.ServiceP50MS,
 		"service_p99_ms":   rep.ServiceP99MS,
-	}
-	if cfg.Rate > 0 {
-		all[key]["offered_rps"] = rep.OfferedRPS
-		all[key]["overload_dropped"] = float64(rep.Overload)
-	}
-	for i, stg := range rep.Stages {
-		all[fmt.Sprintf("%s/stage%d-c%d", key, i, stg.Clients)] = map[string]float64{
-			"throughput_rps": stg.Throughput,
-			"p50_ms":         stg.P50MS,
-			"p99_ms":         stg.P99MS,
-			"queue_p99_ms":   stg.QueueP99MS,
-			"requests":       float64(stg.Requests),
-			"rejected_429":   float64(stg.Rejected),
-			"wall_s":         stg.WallS,
-		}
 	}
 	data, err := json.MarshalIndent(all, "", "  ")
 	if err != nil {

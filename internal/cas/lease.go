@@ -2,6 +2,8 @@ package cas
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -22,9 +24,10 @@ var ptHeartbeat = resilience.Register("lease/heartbeat", resilience.KindDegrade)
 
 // Cache-fill leases: the cross-process single-flight protocol.
 //
-// A lease is a file leases/<kind>-<key>.lease containing the owner name
-// and an absolute expiry. The protocol rides entirely on two atomic
-// filesystem operations, so it needs no server:
+// A lease is a file leases/<kind>-<key>.lease containing the owner name,
+// an absolute expiry and a random token naming this one acquisition.
+// The protocol rides entirely on two atomic filesystem operations, so it
+// needs no server:
 //
 //   - Acquire: create the file with O_EXCL. Exactly one process wins.
 //   - Takeover: rename the expired file to a unique tombstone. Rename
@@ -35,7 +38,14 @@ var ptHeartbeat = resilience.Register("lease/heartbeat", resilience.KindDegrade)
 // Leaders renew at TTL/3 via Heartbeat, so an expired lease means the
 // leader missed several renewals: it is dead or wedged, and followers
 // may take over. Release removes the file; a leader that dies without
-// releasing is covered by expiry.
+// releasing is covered by expiry. A leader that only stalled past its
+// TTL may resume after a follower took over: Renew and Release check
+// the token first, so it neither rewrites nor removes its successor's
+// lease.
+
+// errLeaseLost is returned by Renew when the lease file no longer
+// carries this lease's token: it expired and another process took over.
+var errLeaseLost = errors.New("cas: lease lost to a takeover")
 
 // ErrHeld is returned by Acquire when another live lease holds the key.
 type ErrHeld struct {
@@ -54,9 +64,11 @@ func (e *ErrHeld) Error() string {
 type Lease struct {
 	s        *Store
 	path     string
+	token    string        // this acquisition's identity in the lease file
 	obj      string        // pinned object path, unpinned on Release
 	released atomic.Bool   // read by the heartbeat goroutine
 	stop     chan struct{} // closes to stop the heartbeat, if started
+	done     chan struct{} // closed when the heartbeat goroutine exits
 }
 
 func (s *Store) leasePath(kind, key string) string {
@@ -72,11 +84,16 @@ func (s *Store) Acquire(kind, key string) (*Lease, error) {
 		return nil, fmt.Errorf("cas: bad kind %q", kind)
 	}
 	path := s.leasePath(kind, key)
+	var tok [8]byte
+	if _, err := rand.Read(tok[:]); err != nil {
+		return nil, fmt.Errorf("cas: lease %s: token: %w", path, err)
+	}
+	token := hex.EncodeToString(tok[:])
 	for attempt := 0; ; attempt++ {
 		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 		if err == nil {
 			expiry := s.now().Add(s.opts.LeaseTTL)
-			_, werr := fmt.Fprintf(f, "%s %d\n", s.opts.Owner, expiry.UnixNano())
+			_, werr := fmt.Fprintf(f, "%s %d %s\n", s.opts.Owner, expiry.UnixNano(), token)
 			if cerr := f.Close(); werr == nil {
 				werr = cerr
 			}
@@ -87,12 +104,12 @@ func (s *Store) Acquire(kind, key string) (*Lease, error) {
 			s.acquires.Add(1)
 			obj := s.objectPath(kind, key)
 			s.pinPath(obj)
-			return &Lease{s: s, path: path, obj: obj}, nil
+			return &Lease{s: s, path: path, token: token, obj: obj}, nil
 		}
 		if !errors.Is(err, os.ErrExist) {
 			return nil, fmt.Errorf("cas: lease %s: %w", path, err)
 		}
-		owner, expires, rerr := readLease(path)
+		owner, expires, _, rerr := readLease(path)
 		if rerr != nil {
 			// The file vanished between OpenFile and read (released or
 			// taken over); retry the create.
@@ -117,28 +134,44 @@ func (s *Store) Acquire(kind, key string) (*Lease, error) {
 	}
 }
 
-func readLease(path string) (owner string, expires time.Time, err error) {
+// readLease parses a lease file. A file without a token (written before
+// leases carried one) parses with token "", which no live Lease holds.
+func readLease(path string) (owner string, expires time.Time, token string, err error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return "", time.Time{}, err
+		return "", time.Time{}, "", err
 	}
 	fields := strings.Fields(string(raw))
-	if len(fields) != 2 {
-		return "", time.Time{}, fmt.Errorf("cas: malformed lease %q", string(raw))
+	if len(fields) != 2 && len(fields) != 3 {
+		return "", time.Time{}, "", fmt.Errorf("cas: malformed lease %q", string(raw))
 	}
 	ns, perr := strconv.ParseInt(fields[1], 10, 64)
 	if perr != nil {
-		return "", time.Time{}, fmt.Errorf("cas: malformed lease expiry %q", fields[1])
+		return "", time.Time{}, "", fmt.Errorf("cas: malformed lease expiry %q", fields[1])
 	}
-	return fields[0], time.Unix(0, ns), nil
+	if len(fields) == 3 {
+		token = fields[2]
+	}
+	return fields[0], time.Unix(0, ns), token, nil
+}
+
+// held reports whether the lease file still carries this lease's token.
+// The check and the write or remove that follows are two steps, so a
+// takeover can still slip between them; a leader would have to stall
+// for a whole TTL inside that window.
+func (l *Lease) held() bool {
+	_, _, token, err := readLease(l.path)
+	return err == nil && token == l.token
 }
 
 // Renew pushes the lease's expiry out by one TTL. Atomic via
 // write-temp-then-rename, so followers reading concurrently see either
-// the old expiry or the new one. A panic during renewal (the
-// "lease/heartbeat" fault point, a filesystem gone weird) is recovered
-// into an error; renewal failure is survivable by design — the lease
-// expires and a follower takes over the fill.
+// the old expiry or the new one. A lease that was taken over is not
+// renewed: Renew returns an error and leaves the successor's file alone.
+// A panic during renewal (the "lease/heartbeat" fault point, a
+// filesystem gone weird) is recovered into an error; renewal failure is
+// survivable by design — the lease expires and a follower takes over
+// the fill.
 func (l *Lease) Renew() (err error) {
 	if l.released.Load() {
 		return errors.New("cas: renew after release")
@@ -153,13 +186,16 @@ func (l *Lease) Renew() (err error) {
 		}
 	}()
 	ptHeartbeat.Inject()
+	if !l.held() {
+		return fmt.Errorf("cas: renew %s: %w", l.path, errLeaseLost)
+	}
 	expiry := l.s.now().Add(l.s.opts.LeaseTTL)
 	tmp, err := os.CreateTemp(filepath.Dir(l.path), ".renew-*")
 	if err != nil {
 		return err
 	}
 	tmpName := tmp.Name()
-	_, werr := fmt.Fprintf(tmp, "%s %d\n", l.s.opts.Owner, expiry.UnixNano())
+	_, werr := fmt.Fprintf(tmp, "%s %d %s\n", l.s.opts.Owner, expiry.UnixNano(), l.token)
 	if cerr := tmp.Close(); werr == nil {
 		werr = cerr
 	}
@@ -174,18 +210,21 @@ func (l *Lease) Renew() (err error) {
 }
 
 // Heartbeat renews the lease every TTL/3 in a background goroutine
-// until Release. Long fills (training runs for seconds) call this once
-// right after Acquire so followers never misread a live leader as dead.
+// until Release, or until a renewal finds the lease taken over. Long
+// fills (training runs for seconds) call this once right after Acquire
+// so followers never misread a live leader as dead.
 func (l *Lease) Heartbeat() {
 	if l.stop != nil {
 		return
 	}
 	l.stop = make(chan struct{})
+	l.done = make(chan struct{})
 	interval := l.s.opts.LeaseTTL / 3
 	if interval <= 0 {
 		interval = time.Second
 	}
 	go func() {
+		defer close(l.done)
 		t := time.NewTicker(interval)
 		defer t.Stop()
 		for {
@@ -195,24 +234,31 @@ func (l *Lease) Heartbeat() {
 			case <-t.C:
 				if err := l.Renew(); err != nil {
 					l.s.heartbeatErrors.Add(1)
+					if errors.Is(err, errLeaseLost) {
+						return
+					}
 				}
 			}
 		}
 	}()
 }
 
-// Release ends the lease: the heartbeat stops, the target object is
-// unpinned, and the lease file is removed, waking followers
-// immediately. Safe to call twice.
+// Release ends the lease: the heartbeat stops (Release waits for it, so
+// no renewal can recreate the file afterwards), the target object is
+// unpinned, and the lease file is removed if it is still this lease's,
+// waking followers immediately. Safe to call twice.
 func (l *Lease) Release() {
 	if l.released.Swap(true) {
 		return
 	}
 	if l.stop != nil {
 		close(l.stop)
+		<-l.done
 	}
 	l.s.unpinPath(l.obj)
-	os.Remove(l.path)
+	if l.held() {
+		os.Remove(l.path)
+	}
 }
 
 // WaitEntry is the follower side of cross-process single-flight, and

@@ -72,6 +72,55 @@ func TestStaleLeaseExpiry(t *testing.T) {
 	}
 }
 
+// TestStaleLeaderCannotClobberSuccessor: a leader that stalls past its
+// TTL (SIGSTOP, a long GC pause) resumes after a follower has taken the
+// lease over. Its heartbeat Renew must fail instead of rewriting the
+// successor's file back to itself, and its Release must leave the
+// successor's live lease in place, so a third daemon still waits rather
+// than filling the key a second time.
+func TestStaleLeaderCannotClobberSuccessor(t *testing.T) {
+	sa, sb := twoDaemons(t, Options{LeaseTTL: time.Minute})
+	sc, err := Open(sa.Dir(), Options{Owner: "daemon-c", LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := Key([]byte("stalled"))
+	la, err := sa.Acquire("resp", key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Daemon A stalls; B's clock runs past A's TTL and B takes over.
+	sb.now = func() time.Time { return time.Now().Add(2 * time.Minute) }
+	lb, err := sb.Acquire("resp", key)
+	if err != nil {
+		t.Fatalf("takeover: %v", err)
+	}
+
+	if err := la.Renew(); err == nil {
+		t.Fatal("stale leader renewed a lease it no longer holds")
+	}
+	la.Release()
+	_, err = sc.Acquire("resp", key)
+	var held *ErrHeld
+	if !errors.As(err, &held) {
+		t.Fatalf("third Acquire after the stale Release = %v, want *ErrHeld", err)
+	}
+	if held.Owner != "daemon-b" {
+		t.Fatalf("holder = %q, want the successor daemon-b", held.Owner)
+	}
+
+	// The successor still owns its lease and releases it normally.
+	if err := lb.Renew(); err != nil {
+		t.Fatalf("successor Renew: %v", err)
+	}
+	lb.Release()
+	lc, err := sc.Acquire("resp", key)
+	if err != nil {
+		t.Fatalf("Acquire after the successor's Release: %v", err)
+	}
+	lc.Release()
+}
+
 // TestLeaderCrashFollowerTakeover: daemon A acquires the fill lease and
 // "crashes" (never Puts, never Releases, no heartbeat). Daemon B's
 // WaitEntry must first wait on the live lease, then take over once it

@@ -19,7 +19,6 @@ type accessEntry struct {
 	DurMS   float64 `json:"dur_ms"`
 	Bytes   int     `json:"bytes"`
 	Remote  string  `json:"remote,omitempty"`
-	Backend string  `json:"backend,omitempty"` // daemon hlogate proxied to
 	Dedup   bool    `json:"dedup,omitempty"`   // served from a shared single-flight result
 	Cached  bool    `json:"cached,omitempty"`  // replayed from the farm's persistent store
 	Err     string  `json:"err,omitempty"`     // terminal error (client gone, queue full, ...)

@@ -4,14 +4,12 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
 // RetryConfig tunes how load-generator clients react to backpressure
-// (429) and server failures (5xx / transport errors). The zero value
-// means the historical behavior: retry forever with a flat 50ms pause
-// and no circuit breaker.
+// (429) and transport failures. The zero value means the historical
+// behavior: retry forever with a flat 50ms pause.
 type RetryConfig struct {
 	// Retries is the per-request retry budget: how many consecutive
 	// retryable failures a client absorbs for one body before dropping
@@ -22,12 +20,6 @@ type RetryConfig struct {
 	// Cap bounds the exponential growth (default 2s when Base is set).
 	// Base == Cap == 0 disables exponential backoff (flat 50ms).
 	Cap time.Duration
-	// BreakerThreshold opens the circuit after this many consecutive
-	// failures across all clients; 0 disables the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is how long the circuit stays open before a
-	// half-open probe is allowed (default 1s).
-	BreakerCooldown time.Duration
 	// Seed makes the jitter deterministic; each client derives its own
 	// stream from Seed and its index.
 	Seed int64
@@ -39,9 +31,6 @@ func (c RetryConfig) withDefaults() RetryConfig {
 	}
 	if c.Cap <= 0 && c.Base > 0 {
 		c.Cap = 2 * time.Second
-	}
-	if c.BreakerThreshold > 0 && c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = time.Second
 	}
 	return c
 }
@@ -88,16 +77,16 @@ func (b *backoff) delay(attempt int, retryAfter time.Duration) time.Duration {
 }
 
 // retryAfterCap bounds how long a server-provided Retry-After can stall
-// a client: a proxy in the chain answering with an absurd delta (or a
-// date far in the future) must not park the load generator for hours.
+// a client: a server answering with an absurd delta (or a date far in
+// the future) must not park the load generator for hours.
 const retryAfterCap = 5 * time.Minute
 
 // parseRetryAfter reads a response's Retry-After header in both RFC
 // 9110 forms — delta-seconds ("3") and HTTP-date ("Wed, 21 Oct 2026
 // 07:28:00 GMT") — returning 0 when absent, malformed, or in the past,
 // and clamping absurd values to retryAfterCap. hlod itself sends
-// delta-seconds, but hlogate forwards whatever the backend chain
-// produced, so clients must accept the full grammar.
+// delta-seconds, but a client may sit behind any HTTP intermediary, so
+// it accepts the full grammar.
 func parseRetryAfter(resp *http.Response) time.Duration {
 	return parseRetryAfterAt(resp, time.Now())
 }
@@ -124,67 +113,4 @@ func parseRetryAfterAt(resp *http.Response, now time.Time) time.Duration {
 		return 0 // negative delta or a date already past: retry now
 	}
 	return min(d, retryAfterCap)
-}
-
-// breaker is a minimal shared circuit breaker: closed while the server
-// answers, open for a cooldown after BreakerThreshold consecutive
-// failures, then half-open — one probe request is let through and its
-// outcome decides between closing and re-opening. It keeps a pounding
-// load generator from burying a daemon that is already refusing work.
-type breaker struct {
-	mu        sync.Mutex
-	threshold int
-	cooldown  time.Duration
-	fails     int
-	openUntil time.Time
-	probing   bool
-	opens     int64 // times the circuit opened (reported)
-}
-
-func newBreaker(cfg RetryConfig) *breaker {
-	return &breaker{threshold: cfg.BreakerThreshold, cooldown: cfg.BreakerCooldown}
-}
-
-// allow reports whether a request may be sent now; when the circuit is
-// open it returns the remaining cooldown to wait instead. In half-open
-// state exactly one caller wins the probe slot.
-func (b *breaker) allow(now time.Time) (ok bool, wait time.Duration) {
-	if b == nil || b.threshold <= 0 {
-		return true, 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.fails < b.threshold {
-		return true, 0
-	}
-	if now.Before(b.openUntil) {
-		return false, b.openUntil.Sub(now)
-	}
-	if b.probing {
-		return false, b.cooldown / 4 // probe in flight; check back shortly
-	}
-	b.probing = true
-	return true, 0
-}
-
-// report records a request outcome. Success closes the circuit;
-// failure counts toward the threshold and (re)opens it once reached.
-func (b *breaker) report(now time.Time, success bool) {
-	if b == nil || b.threshold <= 0 {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.probing = false
-	if success {
-		b.fails = 0
-		return
-	}
-	b.fails++
-	if b.fails == b.threshold {
-		b.opens++
-	}
-	if b.fails >= b.threshold {
-		b.openUntil = now.Add(b.cooldown)
-	}
 }

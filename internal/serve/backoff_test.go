@@ -2,8 +2,6 @@ package serve
 
 import (
 	"net/http"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -113,122 +111,5 @@ func TestParseRetryAfterHTTPDate(t *testing.T) {
 	}
 	if d := parseRetryAfterAt(mk("Wed, 99 Foo 2026 99:99:99 GMT"), now); d != 0 {
 		t.Errorf("malformed date = %v, want 0", d)
-	}
-}
-
-func TestBreakerOpensAndRecovers(t *testing.T) {
-	cfg := RetryConfig{BreakerThreshold: 3, BreakerCooldown: time.Second}.withDefaults()
-	brk := newBreaker(cfg)
-	now := time.Unix(1000, 0)
-
-	// Below threshold: closed.
-	for i := 0; i < 2; i++ {
-		brk.report(now, false)
-		if ok, _ := brk.allow(now); !ok {
-			t.Fatalf("breaker opened after %d failures, threshold is 3", i+1)
-		}
-	}
-	// Third failure opens it for the cooldown.
-	brk.report(now, false)
-	if ok, wait := brk.allow(now); ok || wait != time.Second {
-		t.Fatalf("after threshold: allow = %v wait = %v, want open for 1s", ok, wait)
-	}
-	if brk.opens != 1 {
-		t.Errorf("opens = %d, want 1", brk.opens)
-	}
-
-	// Cooldown over: exactly one half-open probe goes through.
-	later := now.Add(2 * time.Second)
-	if ok, _ := brk.allow(later); !ok {
-		t.Fatal("half-open probe was not allowed after cooldown")
-	}
-	if ok, _ := brk.allow(later); ok {
-		t.Fatal("second concurrent probe allowed in half-open state")
-	}
-
-	// A failed probe re-opens without re-counting an open ...
-	brk.report(later, false)
-	if ok, _ := brk.allow(later); ok {
-		t.Fatal("breaker closed after a failed probe")
-	}
-	// ... and a successful probe closes the circuit.
-	later2 := later.Add(2 * time.Second)
-	if ok, _ := brk.allow(later2); !ok {
-		t.Fatal("probe not allowed after second cooldown")
-	}
-	brk.report(later2, true)
-	if ok, _ := brk.allow(later2); !ok {
-		t.Fatal("breaker still open after a successful probe")
-	}
-
-	// Disabled breaker never blocks.
-	var off *breaker
-	if ok, _ := off.allow(now); !ok {
-		t.Error("nil breaker blocked a request")
-	}
-}
-
-// TestBreakerHalfOpenConcurrent: when the cooldown elapses, exactly one
-// of many concurrent callers gets the half-open probe slot; everyone
-// else keeps failing fast. A successful probe report closes the breaker
-// for all.
-func TestBreakerHalfOpenConcurrent(t *testing.T) {
-	b := newBreaker(RetryConfig{BreakerThreshold: 1, BreakerCooldown: 10 * time.Millisecond})
-	start := time.Now()
-	b.report(start, false) // trips: threshold 1
-	if ok, _ := b.allow(start); ok {
-		t.Fatal("breaker should be open right after tripping")
-	}
-
-	probeAt := start.Add(20 * time.Millisecond)
-	const callers = 50
-	var granted atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if ok, _ := b.allow(probeAt); ok {
-				granted.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if granted.Load() != 1 {
-		t.Fatalf("%d callers got the half-open probe slot, want exactly 1", granted.Load())
-	}
-
-	// While the probe is outstanding, later callers still fail fast.
-	if ok, _ := b.allow(probeAt.Add(time.Millisecond)); ok {
-		t.Fatal("second probe granted while the first is outstanding")
-	}
-
-	// Probe succeeds: closed for everyone, concurrently.
-	b.report(probeAt.Add(2*time.Millisecond), true)
-	var allowed atomic.Int64
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if ok, _ := b.allow(probeAt.Add(3 * time.Millisecond)); ok {
-				allowed.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if allowed.Load() != callers {
-		t.Fatalf("only %d/%d callers allowed after the probe closed the breaker", allowed.Load(), callers)
-	}
-
-	// And a failed probe re-opens: trip again, reach half-open, fail the
-	// probe, confirm the next caller inside the fresh cooldown is denied.
-	b.report(probeAt.Add(4*time.Millisecond), false)
-	reopenAt := probeAt.Add(40 * time.Millisecond)
-	if ok, _ := b.allow(reopenAt); !ok {
-		t.Fatal("half-open probe not granted after second cooldown")
-	}
-	b.report(reopenAt, false)
-	if ok, _ := b.allow(reopenAt.Add(time.Millisecond)); ok {
-		t.Fatal("breaker closed immediately after a failed half-open probe")
 	}
 }

@@ -117,9 +117,8 @@ func (s *Server) executeFarm(ctx context.Context, endpoint, pol string, body []b
 
 // ResponseCacheKey computes the cas key under which a daemon persists
 // the rendered 200 response for (endpoint, body) — exactly the key
-// executeFarm uses. Exported for harnesses (the chaos campaign, repair
-// tooling) that must target a specific farm-store entry from outside
-// the serving process.
+// executeFarm uses. Exported for tests and repair tooling that must
+// target a specific farm-store entry from outside the serving process.
 func ResponseCacheKey(endpoint string, body []byte) string {
 	return respKey(endpoint, policyIdentity(body), body)
 }

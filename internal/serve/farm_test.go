@@ -5,6 +5,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -215,5 +218,143 @@ func TestFarmConcurrentDaemonsSingleFill(t *testing.T) {
 		if b != nil && !bytes.Equal(b, want) {
 			t.Fatalf("client %d got different bytes", i)
 		}
+	}
+}
+
+// TestFarmStoreFaults damages the shared store under one daemon per case
+// and checks the store's failure handling end to end: every answer is a
+// 200 byte-identical to a store-less daemon's answer for the same body,
+// the damage is counted, and the daemon recovers its use of the store.
+func TestFarmStoreFaults(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	oracle := serve.New(serve.Config{Workers: 1})
+	want := func(t *testing.T, endpoint string, body []byte) []byte {
+		t.Helper()
+		rr := httptest.NewRecorder()
+		oracle.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/"+endpoint, bytes.NewReader(body)))
+		if rr.Code != http.StatusOK {
+			t.Fatalf("oracle %s: status %d: %s", endpoint, rr.Code, rr.Body)
+		}
+		return rr.Body.Bytes()
+	}
+	// post answers body on the daemon, requires the oracle's bytes, and
+	// reports whether the answer was replayed from the store.
+	post := func(t *testing.T, url, endpoint string, body []byte) (hit bool) {
+		t.Helper()
+		resp, err := http.Post(url+"/"+endpoint, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", endpoint, resp.StatusCode, data)
+		}
+		if !bytes.Equal(data, want(t, endpoint, body)) {
+			t.Fatalf("%s answer differs from the store-less daemon's", endpoint)
+		}
+		return resp.Header.Get("X-Hlod-Cache") == "hit"
+	}
+	respPath := func(dir, endpoint string, body []byte) string {
+		key := serve.ResponseCacheKey(endpoint, body)
+		return filepath.Join(dir, "objects", "resp", key[:2], key)
+	}
+
+	damaged := []struct {
+		name     string
+		endpoint string
+		damage   func(path string) error
+	}{
+		{"bit-flipped entry", "compile", func(path string) error {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			raw[len(raw)-1] ^= 0x40
+			return os.WriteFile(path, raw, 0o644)
+		}},
+		{"truncated entry", "run", func(path string) error {
+			info, err := os.Stat(path)
+			if err != nil {
+				return err
+			}
+			return os.Truncate(path, info.Size()/2)
+		}},
+	}
+	for _, tc := range damaged {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, ts := farmServer(t, dir, "a")
+			post(t, ts.URL, tc.endpoint, farmBody)
+			if err := tc.damage(respPath(dir, tc.endpoint, farmBody)); err != nil {
+				t.Fatal(err)
+			}
+			if post(t, ts.URL, tc.endpoint, farmBody) {
+				t.Fatal("damaged entry replayed as a hit")
+			}
+			if q := s.Store().Counters()["quarantines"]; q != 1 {
+				t.Fatalf("quarantines = %d, want 1", q)
+			}
+			if !post(t, ts.URL, tc.endpoint, farmBody) {
+				t.Fatal("refilled entry not served from the store")
+			}
+		})
+	}
+
+	t.Run("wedged objects/resp", func(t *testing.T) {
+		dir := t.TempDir()
+		s, ts := farmServer(t, dir, "a")
+		// A regular file where the shard directory belongs: every read and
+		// write under it fails with ENOTDIR, as on a broken disk.
+		wedge := filepath.Join(dir, "objects", "resp")
+		if err := os.WriteFile(wedge, []byte("wedge\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		post(t, ts.URL, "compile", farmBody)
+		if got := counter(s, "serve.cas.degraded"); got != 1 {
+			t.Fatalf("serve.cas.degraded = %d, want 1", got)
+		}
+		if err := os.Remove(wedge); err != nil {
+			t.Fatal(err)
+		}
+		if post(t, ts.URL, "compile", farmBody) {
+			t.Fatal("nothing was stored while wedged, yet the answer is a hit")
+		}
+		if got := counter(s, "serve.cas.resp.fill"); got != 1 {
+			t.Fatalf("fills after unwedging = %d, want 1", got)
+		}
+	})
+
+	t.Run("orphaned fill lease", func(t *testing.T) {
+		dir := t.TempDir()
+		s, ts := farmServer(t, dir, "a")
+		// A leader that acquires the fill lease and dies: no heartbeat,
+		// no Put, no Release.
+		ghost, err := cas.Open(dir, cas.Options{Owner: "ghost", LeaseTTL: 200 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ghost.Acquire("resp", serve.ResponseCacheKey("compile", farmBody)); err != nil {
+			t.Fatal(err)
+		}
+		post(t, ts.URL, "compile", farmBody)
+		cs := s.Store().Counters()
+		if cs["lease_waits"] != 1 || cs["lease_takeovers"] != 1 {
+			t.Fatalf("lease_waits = %d, lease_takeovers = %d, want 1 and 1", cs["lease_waits"], cs["lease_takeovers"])
+		}
+		if got := counter(s, "serve.cas.resp.fill"); got != 1 {
+			t.Fatalf("fills after takeover = %d, want 1", got)
+		}
+	})
+
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d after the cases, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"hash/fnv"
 	"io"
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -19,28 +19,11 @@ import (
 type LoadConfig struct {
 	// BaseURL is the daemon's root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// Backends, when non-empty, turns on client-side sharding: each
-	// request body routes to the first entry of RendezvousOrder(key,
-	// Backends) — the same placement hlogate computes — and BaseURL is
-	// ignored. This is the farm's "no gateway" client mode.
+	// Backends, when non-empty, turns on client-side sharding for a
+	// farm of daemons sharing one store: each request body routes to the
+	// first entry of RendezvousOrder(key, Backends), and BaseURL is
+	// ignored.
 	Backends []string
-	// Rate switches the run from closed-loop (Clients requesters, each
-	// waiting for its response) to open-loop: arrivals are a Poisson
-	// process at Rate requests/second regardless of how fast the server
-	// answers, which is how real clients behave and the only shape that
-	// reveals a saturated daemon's true backlog. Arrivals beyond
-	// MaxOutstanding in-flight requests are dropped and counted, never
-	// queued client-side. Open-loop sends have no retry loop — a 429 is
-	// an outcome, not a do-over.
-	Rate float64
-	// MaxOutstanding bounds in-flight requests in open-loop mode
-	// (default 64).
-	MaxOutstanding int
-	// Stages, when non-empty, runs a ramp: each stage is a closed-loop
-	// run at its own client count, sequentially, reusing the connection
-	// pool — so the report shows throughput and latency as concurrency
-	// climbs. Overrides Clients/Duration/Rate.
-	Stages []Stage
 	// Clients is the number of concurrent requesters (default 4).
 	Clients int
 	// Duration is how long to keep sending (default 10s).
@@ -62,29 +45,9 @@ type LoadConfig struct {
 	// ClientTimeout caps each HTTP request (default 2m).
 	ClientTimeout time.Duration
 	// Retry tunes 429/transport-failure handling: jittered exponential
-	// backoff honoring Retry-After, a per-request retry budget, and a
-	// shared circuit breaker. The zero value keeps the historical flat
-	// 50ms pause.
+	// backoff honoring Retry-After and a per-request retry budget. The
+	// zero value keeps the historical flat 50ms pause.
 	Retry RetryConfig
-}
-
-// Stage is one rung of a ramping load run: Clients closed-loop
-// requesters for Duration.
-type Stage struct {
-	Clients  int           `json:"clients"`
-	Duration time.Duration `json:"-"`
-}
-
-// StageReport is one rung's outcome inside a ramp run.
-type StageReport struct {
-	Clients    int     `json:"clients"`
-	WallS      float64 `json:"wall_s"`
-	Requests   int     `json:"requests"`
-	Rejected   int     `json:"rejected_429"`
-	Throughput float64 `json:"throughput_rps"`
-	P50MS      float64 `json:"p50_ms"`
-	P99MS      float64 `json:"p99_ms"`
-	QueueP99MS float64 `json:"queue_p99_ms"`
 }
 
 // LoadReport summarizes a load run. BadResponses counts everything
@@ -98,7 +61,6 @@ type LoadReport struct {
 	BadResponses    int            `json:"bad_responses"`
 	Retries         int            `json:"retries"`
 	Dropped         int            `json:"dropped"` // bodies abandoned after the retry budget
-	BreakerOpens    int64          `json:"breaker_opens"`
 	ByStatus        map[string]int `json:"by_status"`
 	WallS           float64        `json:"wall_s"`
 	Throughput      float64        `json:"throughput_rps"` // 2xx completions per second
@@ -114,15 +76,6 @@ type LoadReport struct {
 	QueueP99MS   float64 `json:"queue_p99_ms"`
 	ServiceP50MS float64 `json:"service_p50_ms"`
 	ServiceP99MS float64 `json:"service_p99_ms"`
-	// Open-loop (Rate > 0) extras: the arrival rate actually offered and
-	// how many arrivals were shed client-side because MaxOutstanding
-	// requests were already in flight — the signal that the server fell
-	// behind the offered load.
-	OfferedRPS float64 `json:"offered_rps,omitempty"`
-	Overload   int     `json:"overload_dropped,omitempty"`
-	// Ramp (Stages) extras: one report rung per stage; the top-level
-	// percentiles then describe the final (peak) stage.
-	Stages []StageReport `json:"stages,omitempty"`
 }
 
 // Healthy reports whether the run saw only 2xx/429 responses and no
@@ -144,12 +97,10 @@ type clientStats struct {
 }
 
 // RunLoad drives load at a daemon (or a farm) and aggregates throughput
-// and latency percentiles (measured over successful 2xx requests). The
-// default shape is closed-loop: Clients concurrent requesters cycling
-// the benchmark × budget matrix for Duration, each waiting for its
-// response. Rate > 0 switches to open-loop Poisson arrivals; Stages
-// runs a closed-loop ramp. Backends turns on client-side rendezvous
-// sharding in any shape.
+// and latency percentiles (measured over successful 2xx requests).
+// Clients concurrent closed-loop requesters cycle the benchmark × budget
+// matrix for Duration, each waiting for its response; Backends turns on
+// client-side rendezvous sharding.
 func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	if cfg.Clients <= 0 {
 		cfg.Clients = 4
@@ -172,25 +123,18 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	if cfg.ClientTimeout <= 0 {
 		cfg.ClientTimeout = 2 * time.Minute
 	}
-	if len(cfg.Stages) > 0 {
-		return runStages(ctx, cfg)
-	}
 
 	bodies, err := loadBodies(cfg)
 	if err != nil {
 		return nil, err
 	}
 	urls := targetURLs(cfg, bodies)
-	if cfg.Rate > 0 {
-		return runOpenLoop(ctx, cfg, bodies, urls)
-	}
 
 	ctx, cancel := context.WithTimeout(ctx, cfg.Duration)
 	defer cancel()
 	client := &http.Client{Timeout: cfg.ClientTimeout}
 
 	retry := cfg.Retry.withDefaults()
-	brk := newBreaker(retry)
 	stats := make([]clientStats, cfg.Clients)
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -215,17 +159,10 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 				// Retry loop for this body: 429s and transport errors back
 				// off and resend; anything else moves to the next body.
 				for attempt := 0; ctx.Err() == nil; {
-					if ok, wait := brk.allow(time.Now()); !ok {
-						if !pause(wait) {
-							return
-						}
-						continue
-					}
 					t0 := time.Now()
 					req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 					if err != nil {
 						st.transport++
-						brk.report(time.Now(), false)
 						break
 					}
 					req.Header.Set("Content-Type", "application/json")
@@ -254,7 +191,6 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 						retryable = resp.StatusCode == http.StatusTooManyRequests
 						retryAfter = parseRetryAfter(resp)
 					}
-					brk.report(time.Now(), !retryable)
 					if !retryable {
 						break
 					}
@@ -272,15 +208,14 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 		}(c)
 	}
 	wg.Wait()
-	return summarize(stats, time.Since(start), brk.opens), nil
+	return summarize(stats, time.Since(start)), nil
 }
 
 // summarize folds per-requester stats into one report; percentiles are
 // over 2xx requests only.
-func summarize(stats []clientStats, wall time.Duration, opens int64) *LoadReport {
+func summarize(stats []clientStats, wall time.Duration) *LoadReport {
 	rep := &LoadReport{ByStatus: make(map[string]int), WallS: wall.Seconds()}
 	var lat, queue, service []float64
-	rep.BreakerOpens = opens
 	for i := range stats {
 		st := &stats[i]
 		rep.TransportErrors += st.transport
@@ -324,10 +259,8 @@ func summarize(stats []clientStats, wall time.Duration, opens int64) *LoadReport
 }
 
 // targetURLs resolves each body's destination once, up front: BaseURL
-// for a single daemon (or a gateway), or the body's first-choice
-// backend under rendezvous hashing — the identical placement hlogate
-// computes, so a farm behaves the same whether the client shards or the
-// gate does.
+// for a single daemon, or the body's first-choice backend under
+// rendezvous hashing.
 func targetURLs(cfg LoadConfig, bodies [][]byte) []string {
 	urls := make([]string, len(bodies))
 	for i, body := range bodies {
@@ -340,150 +273,34 @@ func targetURLs(cfg LoadConfig, bodies [][]byte) []string {
 	return urls
 }
 
-// runStages runs cfg.Stages sequentially as independent closed-loop
-// runs (Rate is ignored: a ramp sweeps concurrency, not arrival rate)
-// and merges their totals. The combined report's percentiles are the
-// final stage's — the numbers at peak concurrency — while per-stage
-// rungs carry the whole curve.
-func runStages(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
-	total := &LoadReport{ByStatus: make(map[string]int)}
-	for _, stg := range cfg.Stages {
-		if ctx.Err() != nil {
-			break
-		}
-		sc := cfg
-		sc.Stages = nil
-		sc.Rate = 0
-		sc.Clients = stg.Clients
-		sc.Duration = stg.Duration
-		rep, err := RunLoad(ctx, sc)
-		if err != nil {
-			return nil, err
-		}
-		total.Stages = append(total.Stages, StageReport{
-			Clients:    sc.Clients,
-			WallS:      rep.WallS,
-			Requests:   rep.Requests,
-			Rejected:   rep.Rejected,
-			Throughput: rep.Throughput,
-			P50MS:      rep.P50MS,
-			P99MS:      rep.P99MS,
-			QueueP99MS: rep.QueueP99MS,
-		})
-		total.Requests += rep.Requests
-		total.TransportErrors += rep.TransportErrors
-		total.Rejected += rep.Rejected
-		total.BadResponses += rep.BadResponses
-		total.Retries += rep.Retries
-		total.Dropped += rep.Dropped
-		total.BreakerOpens += rep.BreakerOpens
-		total.WallS += rep.WallS
-		for k, v := range rep.ByStatus {
-			total.ByStatus[k] += v
-		}
-		total.P50MS, total.P90MS, total.P99MS, total.MaxMS = rep.P50MS, rep.P90MS, rep.P99MS, rep.MaxMS
-		total.QueueP50MS, total.QueueP99MS = rep.QueueP50MS, rep.QueueP99MS
-		total.ServiceP50MS, total.ServiceP99MS = rep.ServiceP50MS, rep.ServiceP99MS
+// RendezvousOrder ranks backends for key by rendezvous (highest-random-
+// weight) hashing: every client that knows the backend set computes the
+// same preference order for a key with no coordination, and removing a
+// backend only remaps the keys that were on it.
+func RendezvousOrder(key string, backends []string) []string {
+	type ranked struct {
+		url    string
+		weight uint64
 	}
-	if ok := total.WallS > 0; ok {
-		good := total.Requests - total.Rejected - total.BadResponses - total.TransportErrors
-		total.Throughput = float64(good) / total.WallS
+	rs := make([]ranked, len(backends))
+	for i, b := range backends {
+		h := fnv.New64a()
+		io.WriteString(h, key)
+		h.Write([]byte{0})
+		io.WriteString(h, b)
+		rs[i] = ranked{url: b, weight: h.Sum64()}
 	}
-	return total, nil
-}
-
-// runOpenLoop offers a Poisson arrival stream at cfg.Rate req/s. The
-// inter-arrival sampler draws from the same seeded splitmix64 stream
-// the backoff jitter uses, so a run with a fixed Retry.Seed replays the
-// identical arrival schedule. Arrivals finding MaxOutstanding requests
-// already in flight are shed and counted (Overload) — a client-side
-// queue would just hide the server's backlog. In-flight requests at
-// the end of the run are allowed to finish (bounded by ClientTimeout),
-// matching how a real caller behaves when a load balancer drains.
-func runOpenLoop(ctx context.Context, cfg LoadConfig, bodies [][]byte, urls []string) (*LoadReport, error) {
-	maxOut := cfg.MaxOutstanding
-	if maxOut <= 0 {
-		maxOut = 64
-	}
-	runCtx, cancel := context.WithTimeout(ctx, cfg.Duration)
-	defer cancel()
-	client := &http.Client{Timeout: cfg.ClientTimeout}
-
-	// Arrival sampler: exponential inter-arrival times from the seeded
-	// jitter stream (client index 1<<20 keeps it disjoint from any
-	// closed-loop backoff stream under the same seed).
-	rng := newBackoff(cfg.Retry.withDefaults(), 1<<20)
-	nextGap := func() time.Duration {
-		u := (float64(rng.next()>>11) + 0.5) / (1 << 53) // (0,1)
-		return time.Duration(-math.Log(u) / cfg.Rate * float64(time.Second))
-	}
-
-	var (
-		mu       sync.Mutex
-		st       = clientStats{byStatus: make(map[int]int)}
-		sem      = make(chan struct{}, maxOut)
-		wg       sync.WaitGroup
-		arrivals int
-		overload int
-	)
-	start := time.Now()
-arrive:
-	for i := 0; ; i++ {
-		select {
-		case <-runCtx.Done():
-			break arrive
-		case <-time.After(nextGap()):
+	sort.Slice(rs, func(i, j int) bool {
+		if rs[i].weight != rs[j].weight {
+			return rs[i].weight > rs[j].weight
 		}
-		arrivals++
-		select {
-		case sem <- struct{}{}:
-		default:
-			overload++ // server (or the cap) fell behind the offered load
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			t0 := time.Now()
-			// Deliberately not runCtx: the run deadline stops new
-			// arrivals, it does not abort work already offered.
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-				urls[i%len(bodies)], bytes.NewReader(bodies[i%len(bodies)]))
-			if err != nil {
-				mu.Lock()
-				st.transport++
-				mu.Unlock()
-				return
-			}
-			req.Header.Set("Content-Type", "application/json")
-			resp, err := client.Do(req)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				st.transport++
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			st.byStatus[resp.StatusCode]++
-			if resp.StatusCode/100 == 2 {
-				st.latenciesMS = append(st.latenciesMS, float64(time.Since(t0))/float64(time.Millisecond))
-				if v, ok := parseMSHeader(resp, "X-Hlod-Queue-Ms"); ok {
-					st.queueMS = append(st.queueMS, v)
-				}
-				if v, ok := parseMSHeader(resp, "X-Hlod-Service-Ms"); ok {
-					st.serviceMS = append(st.serviceMS, v)
-				}
-			}
-		}(i)
+		return rs[i].url < rs[j].url // deterministic on (absurdly unlikely) ties
+	})
+	out := make([]string, len(rs))
+	for i, r := range rs {
+		out[i] = r.url
 	}
-	wg.Wait()
-	wall := time.Since(start)
-	rep := summarize([]clientStats{st}, wall, 0)
-	rep.OfferedRPS = float64(arrivals) / wall.Seconds()
-	rep.Overload = overload
-	return rep, nil
+	return out
 }
 
 // parseMSHeader reads a millisecond float header set by writeResult on

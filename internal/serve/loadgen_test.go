@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,108 +13,41 @@ import (
 	"repro/internal/serve"
 )
 
-// stubDaemon answers every work request 200 after delay, counting hits.
-func stubDaemon(t *testing.T, delay time.Duration) (*httptest.Server, func() int) {
-	t.Helper()
-	var mu sync.Mutex
-	hits := 0
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if delay > 0 {
-			time.Sleep(delay)
+func TestRendezvousOrderStableAndBalanced(t *testing.T) {
+	backends := []string{"http://a", "http://b", "http://c"}
+	if got := serve.RendezvousOrder("k1", backends); len(got) != 3 {
+		t.Fatalf("order has %d entries, want 3", len(got))
+	}
+	// Deterministic: same key, same order, regardless of input slice order.
+	a := serve.RendezvousOrder("k1", backends)
+	b := serve.RendezvousOrder("k1", []string{"http://c", "http://a", "http://b"})
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("order depends on backend list order: %v vs %v", a, b)
 		}
-		mu.Lock()
-		hits++
-		mu.Unlock()
-		w.Write([]byte(`{}`))
-	}))
-	t.Cleanup(ts.Close)
-	return ts, func() int { mu.Lock(); defer mu.Unlock(); return hits }
-}
-
-func TestRunLoadStagesRamp(t *testing.T) {
-	ts, hits := stubDaemon(t, 0)
-	rep, err := serve.RunLoad(context.Background(), serve.LoadConfig{
-		BaseURL: ts.URL,
-		Stages: []serve.Stage{
-			{Clients: 1, Duration: 150 * time.Millisecond},
-			{Clients: 2, Duration: 150 * time.Millisecond},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if len(rep.Stages) != 2 {
-		t.Fatalf("stage rungs = %d, want 2", len(rep.Stages))
+	// Balanced-ish: over many keys every backend wins some.
+	wins := map[string]int{}
+	for i := 0; i < 300; i++ {
+		wins[serve.RendezvousOrder(fmt.Sprintf("key-%d", i), backends)[0]]++
 	}
-	if rep.Stages[0].Clients != 1 || rep.Stages[1].Clients != 2 {
-		t.Fatalf("stage client counts = %d,%d", rep.Stages[0].Clients, rep.Stages[1].Clients)
+	for _, be := range backends {
+		if wins[be] == 0 {
+			t.Fatalf("backend %s never ranked first across 300 keys: %v", be, wins)
+		}
 	}
-	if got := rep.Stages[0].Requests + rep.Stages[1].Requests; got != rep.Requests {
-		t.Fatalf("stage requests sum to %d, total says %d", got, rep.Requests)
-	}
-	// The server may see a few more than the client counted: a request
-	// in flight when a stage's clock expires is abandoned uncounted.
-	if rep.Requests == 0 || hits() < rep.Requests || hits() > rep.Requests+4 {
-		t.Fatalf("requests = %d, server saw %d", rep.Requests, hits())
-	}
-	if !rep.Healthy() {
-		t.Fatalf("unhealthy ramp: %+v", rep)
-	}
-}
-
-func TestRunLoadOpenLoopPoisson(t *testing.T) {
-	ts, hits := stubDaemon(t, 0)
-	rep, err := serve.RunLoad(context.Background(), serve.LoadConfig{
-		BaseURL:  ts.URL,
-		Rate:     300,
-		Duration: 300 * time.Millisecond,
-		Retry:    serve.RetryConfig{Seed: 7},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Requests == 0 {
-		t.Fatal("open-loop run sent nothing")
-	}
-	if rep.OfferedRPS <= 0 {
-		t.Fatalf("offered rate = %v, want > 0", rep.OfferedRPS)
-	}
-	if hits() < rep.Requests {
-		t.Fatalf("requests = %d, server saw only %d", rep.Requests, hits())
-	}
-	if !rep.Healthy() {
-		t.Fatalf("unhealthy open-loop run: %+v", rep)
-	}
-	// Determinism: the same seed replays the same arrival schedule, so
-	// the offered count should be extremely close across runs (the wall
-	// clock jitters the tail arrival, so allow one).
-	rep2, err := serve.RunLoad(context.Background(), serve.LoadConfig{
-		BaseURL:  ts.URL,
-		Rate:     300,
-		Duration: 300 * time.Millisecond,
-		Retry:    serve.RetryConfig{Seed: 7},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := rep.OfferedRPS - rep2.OfferedRPS; d > 60 || d < -60 {
-		t.Errorf("seeded arrival rates diverged: %.1f vs %.1f", rep.OfferedRPS, rep2.OfferedRPS)
-	}
-}
-
-func TestRunLoadOpenLoopShedsOverload(t *testing.T) {
-	ts, _ := stubDaemon(t, 80*time.Millisecond) // slow daemon
-	rep, err := serve.RunLoad(context.Background(), serve.LoadConfig{
-		BaseURL:        ts.URL,
-		Rate:           400,
-		Duration:       250 * time.Millisecond,
-		MaxOutstanding: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Overload == 0 {
-		t.Fatalf("no arrivals shed at 400 req/s against an 80ms daemon with 1 outstanding: %+v", rep)
+	// Minimal disruption: dropping a backend must not remap keys it did
+	// not own.
+	two := []string{"http://a", "http://b"}
+	for i := 0; i < 300; i++ {
+		key := fmt.Sprintf("key-%d", i)
+		first := serve.RendezvousOrder(key, backends)[0]
+		if first == "http://c" {
+			continue
+		}
+		if got := serve.RendezvousOrder(key, two)[0]; got != first {
+			t.Fatalf("key %q moved from %s to %s when an unrelated backend left", key, first, got)
+		}
 	}
 }
 
