@@ -6,8 +6,6 @@
 package repro_test
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -17,7 +15,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/pa8000"
-	"repro/internal/policy"
 	"repro/internal/specsuite"
 	"repro/internal/testutil"
 )
@@ -181,56 +178,6 @@ func BenchmarkFigure8(b *testing.B) {
 			}
 			b.Logf("\n%s", experiments.RenderFigure8(points))
 		}
-	}
-}
-
-// BenchmarkPolicyRace races each decision policy alone over the full
-// benchmark × budget matrix and records one BENCH rung per policy:
-// wall clock, cell throughput, and the geomean speedup / mean code
-// growth at every budget. Separate sub-benchmarks (rather than one
-// combined race) keep the wall_s column honest per policy — the shared
-// neither baseline is recompiled inside each racer's measurement, so
-// all three rungs carry the same overhead. host.cpus records where the
-// numbers came from; this container is a single-CPU host, so the rungs
-// are serial-throughput evidence, not parallel-speedup evidence.
-func BenchmarkPolicyRace(b *testing.B) {
-	for _, spec := range experiments.PolicyRacePolicies() {
-		p, err := policy.Parse(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		key := p.Key()
-		b.Run(key, func(b *testing.B) {
-			var rows []experiments.PolicyRaceRow
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				var err error
-				rows, err = experiments.PolicyRace([]string{spec}, nil, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			wall := time.Since(start).Seconds()
-			// Cells: one per (benchmark, budget) row plus the per-benchmark
-			// neither baseline each race recompiles.
-			nBench := len(specsuite.All())
-			cps := float64((len(rows)+nBench)*b.N) / wall
-			b.ReportMetric(cps, "cells/s")
-			metrics := map[string]float64{
-				"wall_s":        wall / float64(b.N),
-				"cells_per_sec": cps,
-				"host.cpus":     float64(runtime.NumCPU()),
-			}
-			for _, s := range experiments.PolicyRaceSummaries(rows) {
-				metrics[fmt.Sprintf("speedup_b%d", s.Budget)] = s.GeoSpeedup
-				metrics[fmt.Sprintf("growth_b%d", s.Budget)] = s.MeanGrowth
-			}
-			if len(rows) > 0 {
-				b.ReportMetric(metrics["speedup_b100"], "geomean-speedup-b100")
-			}
-			b.Logf("\n%s", experiments.RenderPolicyRace(rows))
-			testutil.RecordBenchJSON(b, "policy/"+key, metrics)
-		})
 	}
 }
 

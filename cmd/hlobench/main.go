@@ -3,16 +3,12 @@
 //
 // Usage:
 //
-//	hlobench [-fig5] [-table1] [-fig6] [-fig7] [-fig8] [-policyrace]
+//	hlobench [-fig5] [-table1] [-fig6] [-fig7] [-fig8]
 //	         [-all] [-trace] [-profile] [-spans-json F] [-trace-out F]
 //	         [-min-coverage PCT] [-j N] [-sim-engine predecoded|reference]
 //
 // With no flags it behaves as -all. Figure 8 accepts -fig8points to
-// bound the sweep resolution. -policyrace races every inline decision
-// policy (greedy, bottomup, priority) head-to-head over the benchmark ×
-// budget matrix against a shared unoptimized baseline; it is not part
-// of -all because it re-compiles the suite nine extra ways.
-// -policyrace-bench restricts the race to one benchmark for smoke runs. -trace prints, after each experiment, the
+// bound the sweep resolution. -trace prints, after each experiment, the
 // pipeline phase spans and the unified counter registry accumulated
 // over the experiment's compiles and runs (to stderr). -profile prints
 // instead the aggregated per-phase attribution ("where the time goes")
@@ -40,7 +36,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/pa8000"
-	"repro/internal/specsuite"
 )
 
 func main() {
@@ -50,8 +45,6 @@ func main() {
 	fig7 := flag.Bool("fig7", false, "Figure 7: simulation detail")
 	fig8 := flag.Bool("fig8", false, "Figure 8: incremental benefit")
 	fig8points := flag.Int("fig8points", 12, "max points per Figure 8 budget curve")
-	policyRace := flag.Bool("policyrace", false, "policy race: decision policies head-to-head")
-	policyBench := flag.String("policyrace-bench", "", "restrict the policy race to one benchmark (smoke runs)")
 	prod := flag.Bool("prod", false, "Section 3.5: large generated programs")
 	prodSeeds := flag.Int("prodseeds", 3, "number of generated programs for -prod")
 	all := flag.Bool("all", false, "everything")
@@ -72,7 +65,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "hlobench: unknown -sim-engine %q (want predecoded or reference)\n", *simEngine)
 		os.Exit(2)
 	}
-	if !*fig5 && !*table1 && !*fig6 && !*fig7 && !*fig8 && !*prod && !*policyRace {
+	if !*fig5 && !*table1 && !*fig6 && !*fig7 && !*fig8 && !*prod {
 		*all = true
 	}
 	experiments.SetParallelism(*jobs)
@@ -154,25 +147,6 @@ func main() {
 		}
 		return experiments.RenderFigure8(points), nil
 	})
-	// The policy race stays out of -all: it re-compiles the suite nine
-	// extra ways and is its own experiment, not a paper figure.
-	if *policyRace {
-		run("policyrace", true, func() (string, error) {
-			var benches []*specsuite.Benchmark
-			if *policyBench != "" {
-				b, err := specsuite.ByName(*policyBench)
-				if err != nil {
-					return "", err
-				}
-				benches = []*specsuite.Benchmark{b}
-			}
-			rows, err := experiments.PolicyRace(nil, nil, benches)
-			if err != nil {
-				return "", err
-			}
-			return experiments.RenderPolicyRace(rows), nil
-		})
-	}
 	run("production", *prod, func() (string, error) {
 		rows, err := experiments.Production(*prodSeeds)
 		if err != nil {

@@ -15,10 +15,6 @@
 //	-profile        instrument, run on -train inputs, recompile with profile
 //	-train  1,2,3   training input vector
 //	-budget N       compile-time growth budget in percent (default 100)
-//	-policy P       inline/clone decision policy: greedy (default, the
-//	                paper's), bottomup[:bloat=N] (Tarjan-SCC order with a
-//	                per-function code-bloat cap), priority (global queue
-//	                re-ranked after each mutation)
 //	-noinline       disable inlining
 //	-noclone        disable cloning
 //	-outline        extract profile-cold code into new routines
@@ -56,7 +52,6 @@ import (
 	"repro/internal/driver"
 	"repro/internal/isom"
 	"repro/internal/obs"
-	"repro/internal/policy"
 	"repro/internal/profile"
 	"repro/internal/resilience"
 )
@@ -66,7 +61,6 @@ func main() {
 	profileFlag := flag.Bool("profile", false, "profile-based optimization (train first)")
 	train := flag.String("train", "", "comma-separated training inputs")
 	budget := flag.Int("budget", 100, "compile-time growth budget in percent")
-	policySpec := flag.String("policy", "", "decision policy: greedy (default) | bottomup[:bloat=N] | priority")
 	noinline := flag.Bool("noinline", false, "disable inlining")
 	noclone := flag.Bool("noclone", false, "disable cloning")
 	outline := flag.Bool("outline", false, "extract profile-cold code into new routines")
@@ -127,10 +121,6 @@ func main() {
 	opts.HLO.Inline = !*noinline
 	opts.HLO.Clone = !*noclone
 	opts.HLO.Outline = *outline
-	if _, err := policy.Parse(*policySpec); err != nil {
-		fatal(err)
-	}
-	opts.HLO.Policy = *policySpec
 	fp, err := resilience.ParseFailPolicy(*failPolicy)
 	if err != nil {
 		fatal(err)

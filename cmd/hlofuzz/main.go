@@ -20,9 +20,6 @@
 //	-no-minimize    store failures unshrunk
 //	-inject-bug B   deliberately miscompile (mutation-test the oracles);
 //	                known bugs: inline-swap-args
-//	-policies L     comma-separated decision-policy axis crossed onto the
-//	                matrix (default "bottomup,priority"; "none" disables,
-//	                leaving the greedy-only grid)
 //	-faults         run the fault-injection campaign instead of fuzzing:
 //	                every registered resilience point is armed one at a
 //	                time over the specsuite and must recover as documented
@@ -45,7 +42,6 @@ import (
 	"time"
 
 	"repro/internal/fuzz"
-	"repro/internal/policy"
 )
 
 func main() {
@@ -57,27 +53,12 @@ func main() {
 	replay := flag.String("replay", "", "replay a corpus file or directory instead of fuzzing")
 	noMinimize := flag.Bool("no-minimize", false, "store failures unshrunk")
 	injectBug := flag.String("inject-bug", "", "deliberately miscompile (oracle self-test)")
-	policies := flag.String("policies", "", "decision-policy axis, comma-separated (default bottomup,priority; \"none\" disables)")
 	faults := flag.Bool("faults", false, "run the fault-injection campaign")
 	faultsSeed := flag.Int64("faults-seed", 1, "fault campaign seed")
 	faultsBench := flag.String("faults-bench", "", "comma-separated benchmarks for -faults (default all)")
 	flag.Parse()
 
 	cfg := fuzz.Config{Workers: *workers, InjectBug: *injectBug}
-	switch *policies {
-	case "":
-		// nil: the package's default axis.
-	case "none":
-		cfg.Policies = []string{}
-	default:
-		cfg.Policies = strings.Split(*policies, ",")
-		for _, spec := range cfg.Policies {
-			if _, err := policy.Parse(spec); err != nil {
-				fmt.Fprintln(os.Stderr, "hlofuzz:", err)
-				os.Exit(2)
-			}
-		}
-	}
 
 	if *faults {
 		os.Exit(runFaults(*faultsSeed, *faultsBench))

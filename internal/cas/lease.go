@@ -111,12 +111,20 @@ func (s *Store) Acquire(kind, key string) (*Lease, error) {
 		}
 		owner, expires, _, rerr := readLease(path)
 		if rerr != nil {
-			// The file vanished between OpenFile and read (released or
-			// taken over); retry the create.
-			if attempt < 16 {
-				continue
+			fi, serr := os.Stat(path)
+			if serr != nil {
+				// The file vanished between OpenFile and read (released
+				// or taken over); retry the create.
+				if attempt < 16 {
+					continue
+				}
+				return nil, fmt.Errorf("cas: lease %s: churning", path)
 			}
-			return nil, fmt.Errorf("cas: lease %s: churning", path)
+			// The file exists but does not parse: its creator has not
+			// finished writing it. It is held until one TTL after its
+			// mtime, so a creator that died mid-write is taken over
+			// like any expired leader.
+			owner, expires = "?", fi.ModTime().Add(s.opts.LeaseTTL)
 		}
 		if s.now().Before(expires) {
 			return nil, &ErrHeld{Owner: owner, Expires: expires}

@@ -3,6 +3,7 @@ package cas
 import (
 	"context"
 	"errors"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -70,6 +71,27 @@ func TestStaleLeaseExpiry(t *testing.T) {
 	if sb.Counters()["lease_takeovers"] != 1 {
 		t.Fatalf("takeovers = %d, want 1", sb.Counters()["lease_takeovers"])
 	}
+}
+
+// TestAcquireWaitsOnHalfWrittenLease: a lease file that exists but does
+// not parse yet — its creator won O_EXCL and has not written it — is
+// held, not an error, and is taken over once it is a TTL old.
+func TestAcquireWaitsOnHalfWrittenLease(t *testing.T) {
+	sa, sb := twoDaemons(t, Options{LeaseTTL: time.Minute})
+	key := Key([]byte("half-written"))
+	if err := os.WriteFile(sa.leasePath("resp", key), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var held *ErrHeld
+	if _, err := sb.Acquire("resp", key); !errors.As(err, &held) {
+		t.Fatalf("Acquire over a half-written lease = %v, want *ErrHeld", err)
+	}
+	sb.now = func() time.Time { return time.Now().Add(2 * time.Minute) }
+	lb, err := sb.Acquire("resp", key)
+	if err != nil {
+		t.Fatalf("Acquire over a half-written lease a TTL old = %v, want takeover", err)
+	}
+	lb.Release()
 }
 
 // TestStaleLeaderCannotClobberSuccessor: a leader that stalls past its

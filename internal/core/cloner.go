@@ -2,12 +2,12 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/ipa"
 	"repro/internal/ir"
 	"repro/internal/obs"
-	"repro/internal/policy"
 )
 
 // cloneSpec describes a specialization: for each formal parameter of the
@@ -44,14 +44,76 @@ func (s *cloneSpec) key() string {
 	return b.String()
 }
 
-// cloneGroups implements the enumeration half of Figure 3: build
-// parameter-usage and calling-context descriptors and form clone
-// groups greedily in edge order, each site claimed by at most one
-// group. Ranking and budget accounting belong to the decision policy.
-// Rejection remarks for illegal sites and empty specs are emitted when
-// emit is set (the first enumeration of a phase). The group's Spec
-// field carries the *cloneSpec payload back into applyCloneGroup.
-func (h *hlo) cloneGroups(g *ipa.Graph, emit bool) []*policy.CloneGroup {
+// cloneGroup is a set of call sites that can all safely call the clone
+// described by spec (Figure 3's clone groups).
+type cloneGroup struct {
+	spec     *cloneSpec
+	key      string  // spec.key(), the clone-database key
+	sites    []int32 // Site IDs of the member edges
+	callers  []*ir.Func
+	benefits []int64 // per-site benefit, parallel to sites
+	benefit  int64
+	// coversAll marks groups containing every direct call to the clonee,
+	// which anticipates deletion of the clonee (zero cost in the paper).
+	coversAll bool
+	// cost and headroom record the budget state at selection time for
+	// optimization remarks.
+	cost, headroom int64
+}
+
+// clonePass implements Figure 3: form clone groups, rank them by
+// benefit, and create clones greedily under the stage budget with the
+// covers-all and database-reuse zero-cost discounts, retargeting the
+// member call sites.
+func (h *hlo) clonePass(stageBudget int64) {
+	groups := h.cloneGroups(ipa.Build(h.prog))
+	// Rank by benefit; ties on the specialization key.
+	sort.SliceStable(groups, func(i, j int) bool {
+		a, b := groups[i], groups[j]
+		if a.benefit != b.benefit {
+			return a.benefit > b.benefit
+		}
+		return a.key < b.key
+	})
+	c := h.cost
+	for gi, grp := range groups {
+		if grp.benefit <= 0 {
+			h.remarkGroup(grp, RejNoBenefit)
+			continue
+		}
+		if h.stopped() {
+			for _, rest := range groups[gi:] {
+				h.remarkGroup(rest, RejStopped)
+			}
+			return
+		}
+		x := h.costOf(int64(grp.spec.callee.Size()))
+		if grp.coversAll {
+			// The clonee will die: the paper treats such groups as free.
+			x = 0
+		}
+		if h.opts.ReuseCloneDB {
+			if _, exists := h.cloneDB[grp.key]; exists {
+				// "If a given clone exists in the database then it is
+				// simply reused": only call sites change, no new code.
+				x = 0
+			}
+		}
+		grp.cost = x
+		grp.headroom = stageBudget - c
+		if c+x > stageBudget {
+			h.remarkGroup(grp, RejBudget)
+			continue
+		}
+		c += x
+		h.applyCloneGroup(grp)
+	}
+}
+
+// cloneGroups builds parameter-usage and calling-context descriptors
+// and forms clone groups greedily in edge order, each site claimed by
+// at most one group, remarking illegal sites and empty specs.
+func (h *hlo) cloneGroups(g *ipa.Graph) []*cloneGroup {
 	usage := make(map[*ir.Func]*ipa.ParamUsage)
 	usageOf := func(f *ir.Func) *ipa.ParamUsage {
 		u, ok := usage[f]
@@ -63,18 +125,14 @@ func (h *hlo) cloneGroups(g *ipa.Graph, emit bool) []*policy.CloneGroup {
 	}
 
 	claimed := make(map[int32]bool) // sites already in a group this pass
-	var groups []*policy.CloneGroup
+	var groups []*cloneGroup
 	for _, e := range g.Edges {
 		if r := cloneLegal(e, h.scope); r != OK {
-			if emit {
-				h.remarkEdge(RemarkClone, e, r)
-			}
+			h.remarkEdge(RemarkClone, e, r)
 			continue
 		}
 		if h.skippedFunc(e.Caller) || h.skippedFunc(e.Callee) {
-			if emit {
-				h.remarkEdge(RemarkClone, e, SkippedFunc)
-			}
+			h.remarkEdge(RemarkClone, e, SkippedFunc)
 			continue
 		}
 		site := e.Instr().Site
@@ -91,13 +149,11 @@ func (h *hlo) cloneGroups(g *ipa.Graph, emit bool) []*policy.CloneGroup {
 			}
 		}
 		if spec.nBound() == 0 {
-			if emit {
-				h.remarkEdge(RemarkClone, e, NoBinding)
-			}
+			h.remarkEdge(RemarkClone, e, NoBinding)
 			continue
 		}
 		// Greedily grow the group over the clonee's other legal sites.
-		grp := &policy.CloneGroup{Callee: callee, Key: spec.key(), Spec: spec}
+		grp := &cloneGroup{spec: spec, key: spec.key()}
 		specCtx := ipa.Context(spec.bound)
 		total := len(g.CallersOf[callee])
 		for _, e2 := range g.CallersOf[callee] {
@@ -115,16 +171,16 @@ func (h *hlo) cloneGroups(g *ipa.Graph, emit bool) []*policy.CloneGroup {
 				continue
 			}
 			b2 := h.cloneSiteBenefit(e2, spec, u)
-			grp.Sites = append(grp.Sites, s2)
-			grp.Callers = append(grp.Callers, e2.Caller)
-			grp.Benefits = append(grp.Benefits, b2)
-			grp.Benefit += b2
+			grp.sites = append(grp.sites, s2)
+			grp.callers = append(grp.callers, e2.Caller)
+			grp.benefits = append(grp.benefits, b2)
+			grp.benefit += b2
 		}
-		if len(grp.Sites) == 0 {
+		if len(grp.sites) == 0 {
 			continue
 		}
-		grp.CoversAll = len(grp.Sites) == total && deletable(callee, h.scope) && !addressTaken(h.prog, callee)
-		for _, s := range grp.Sites {
+		grp.coversAll = len(grp.sites) == total && deletable(callee, h.scope) && !addressTaken(h.prog, callee)
+		for _, s := range grp.sites {
 			claimed[s] = true
 		}
 		groups = append(groups, grp)
@@ -132,34 +188,14 @@ func (h *hlo) cloneGroups(g *ipa.Graph, emit bool) []*policy.CloneGroup {
 	return groups
 }
 
-// cloneGroupCost is the projected compile cost of materializing the
-// group's clone right now: the clonee's cost, discounted to zero when
-// the group covers every call (the clonee dies — "the paper treats
-// such groups as free") or when the clone database already holds the
-// spec ("if a given clone exists in the database then it is simply
-// reused": only call sites change, no new code). Live state: earlier
-// accepts in the same phase grow the database, so policies must query
-// per decision rather than cache.
-func (h *hlo) cloneGroupCost(grp *policy.CloneGroup) int64 {
-	if grp.CoversAll {
-		return 0
-	}
-	if h.opts.ReuseCloneDB {
-		if _, exists := h.cloneDB[grp.Key]; exists {
-			return 0
-		}
-	}
-	return h.costOf(int64(grp.Callee.Size()))
-}
-
 // remarkGroup records one rejection remark per member site of a group
 // declined as a whole by the selection loop.
-func (h *hlo) remarkGroup(grp *policy.CloneGroup, reason Reason) {
+func (h *hlo) remarkGroup(grp *cloneGroup, reason Reason) {
 	if h.rec == nil {
 		return
 	}
-	for i := range grp.Sites {
-		h.remarkCloneSite(grp, i, false, reason, grp.Cost, grp.Headroom, "")
+	for i := range grp.sites {
+		h.remarkCloneSite(grp, i, false, reason, "")
 	}
 }
 
@@ -187,10 +223,10 @@ func (h *hlo) cloneSiteBenefit(e *ipa.Edge, spec *cloneSpec, u *ipa.ParamUsage) 
 
 // applyCloneGroup creates (or reuses) the clone and retargets every
 // member site.
-func (h *hlo) applyCloneGroup(grp *policy.CloneGroup) {
-	spec := grp.Spec.(*cloneSpec)
+func (h *hlo) applyCloneGroup(grp *cloneGroup) {
+	spec := grp.spec
 	clonee := spec.callee
-	key := grp.Key
+	key := grp.key
 	cloneName, reused := "", false
 	if h.opts.ReuseCloneDB {
 		cloneName, reused = h.cloneDB[key]
@@ -198,8 +234,8 @@ func (h *hlo) applyCloneGroup(grp *policy.CloneGroup) {
 	if !reused {
 		var clone *ir.Func
 		outcome := h.guardMutation(
-			obs.Remark{Kind: RemarkClone, Caller: grp.Callers[0].QName, Callee: clonee.QName,
-				Site: grp.Sites[0], Benefit: grp.Benefit},
+			obs.Remark{Kind: RemarkClone, Caller: grp.callers[0].QName, Callee: clonee.QName,
+				Site: grp.sites[0], Benefit: grp.benefit},
 			nil,
 			func() ([]*ir.Func, string, error) {
 				ptClone.Inject()
@@ -215,25 +251,25 @@ func (h *hlo) applyCloneGroup(grp *policy.CloneGroup) {
 		h.cloneDB[key] = cloneName
 		h.stats.Clones++
 	}
-	for i, site := range grp.Sites {
+	for i, site := range grp.sites {
 		if h.stopped() {
-			h.remarkCloneSite(grp, i, false, RejStopped, grp.Cost, grp.Headroom, cloneName)
+			h.remarkCloneSite(grp, i, false, RejStopped, cloneName)
 			return
 		}
-		caller := grp.Callers[i]
+		caller := grp.callers[i]
 		if h.skippedFunc(caller) {
-			h.remarkCloneSite(grp, i, false, SkippedFunc, grp.Cost, grp.Headroom, cloneName)
+			h.remarkCloneSite(grp, i, false, SkippedFunc, cloneName)
 			continue
 		}
 		blk, idx, ok := ir.FindSite(caller, site)
 		if !ok {
-			h.remarkCloneSite(grp, i, false, RejRetargeted, grp.Cost, grp.Headroom, cloneName)
+			h.remarkCloneSite(grp, i, false, RejRetargeted, cloneName)
 			continue
 		}
 		in := &blk.Instrs[idx]
 		if in.Op != ir.Call || in.Callee != clonee.QName {
 			// Retargeted or transformed since the graph was built.
-			h.remarkCloneSite(grp, i, false, RejRetargeted, grp.Cost, grp.Headroom, cloneName)
+			h.remarkCloneSite(grp, i, false, RejRetargeted, cloneName)
 			continue
 		}
 		// Edit the bound actuals out of the argument list and point the
@@ -246,7 +282,7 @@ func (h *hlo) applyCloneGroup(grp *policy.CloneGroup) {
 		}
 		outcome := h.guardMutation(
 			obs.Remark{Kind: RemarkClone, Caller: caller.QName, Callee: clonee.QName,
-				Site: site, Benefit: grp.Benefits[i]},
+				Site: site, Benefit: grp.benefits[i]},
 			[]*ir.Func{caller},
 			func() ([]*ir.Func, string, error) {
 				in.Callee = cloneName
@@ -258,7 +294,7 @@ func (h *hlo) applyCloneGroup(grp *policy.CloneGroup) {
 		}
 		h.stats.CloneRepls++
 		h.countOp()
-		h.remarkCloneSite(grp, i, true, OK, grp.Cost, grp.Headroom, cloneName)
+		h.remarkCloneSite(grp, i, true, OK, cloneName)
 	}
 	if clonee.Module != h.prog.Func(cloneName).Module {
 		// Cannot happen (clones live in the clonee's module), but keep

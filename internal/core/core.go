@@ -91,15 +91,6 @@ type Options struct {
 	// DeadCallElim runs interprocedural side-effect analysis first and
 	// deletes dead pure calls (the 072.sc curses deletion).
 	DeadCallElim bool
-	// Policy selects the decision policy driving the clone/inline
-	// phases, as a policy.Parse spec: "greedy" (the paper's, default —
-	// the empty string means greedy), "bottomup" (Tarjan-SCC
-	// topological order with a per-function code-bloat factor,
-	// "bottomup:bloat=400" to tune it), or "priority" (global priority
-	// queue re-ranked after each mutation). Legality, mutation
-	// mechanics, firewalls and VerifyEach are shared by all policies;
-	// only decisions differ. Unknown specs fail RunChecked up front.
-	Policy string
 	// Outline enables the paper's future-work complement: after the
 	// inline/clone passes, profile-cold straight-line code is extracted
 	// out of hot routines into fresh file-scope routines. Requires

@@ -1,4 +1,4 @@
-package policy_test
+package core_test
 
 import (
 	"context"
@@ -14,16 +14,15 @@ import (
 	"repro/internal/specsuite"
 )
 
-// The greedy-extraction bit-identity gate. The committed golden
-// (testdata/policy-golden/greedy.json) was generated from the
-// pre-extraction seed — the monolithic selection loops inside
-// internal/core — one digest per specsuite benchmark × scope
-// {module, cross} × budget {100, 150, 200} cell: the HLO statistics,
-// the SHA-256 of the remark stream (JSONL, decision order) and of the
-// final IR listing, the linked code size and the compile cost. The
-// extracted greedy policy must reproduce every cell exactly; any drift
-// in enumeration order, ranking keys, cost arithmetic or remark
-// emission shows up as a hash mismatch naming the cell.
+// The greedy bit-identity gate. The committed golden
+// (testdata/policy-golden/greedy.json) holds one digest per specsuite
+// benchmark × scope {module, cross} × budget {100, 150, 200} cell: the
+// HLO statistics, the SHA-256 of the remark stream (JSONL, decision
+// order) and of the final IR listing, the linked code size and the
+// compile cost. HLO's greedy selection must reproduce every cell
+// exactly; any drift in enumeration order, ranking keys, cost
+// arithmetic or remark emission shows up as a hash mismatch naming the
+// cell.
 
 type cellDigest struct {
 	Stats       core.Stats `json:"stats"`
@@ -33,9 +32,9 @@ type cellDigest struct {
 	CompileCost int64      `json:"compile_cost"`
 }
 
-// digestCell compiles one cell under the given policy and digests the
-// observable outcome exactly as the golden generator did.
-func digestCell(t *testing.T, cache *driver.Cache, b *specsuite.Benchmark, cross bool, budget int, policy string) cellDigest {
+// digestCell compiles one cell and digests the observable outcome
+// exactly as the golden generator did.
+func digestCell(t *testing.T, cache *driver.Cache, b *specsuite.Benchmark, cross bool, budget int) cellDigest {
 	t.Helper()
 	opts := driver.Options{
 		CrossModule: cross,
@@ -45,12 +44,11 @@ func digestCell(t *testing.T, cache *driver.Cache, b *specsuite.Benchmark, cross
 		Cache:       cache,
 	}
 	opts.HLO.Budget = budget
-	opts.HLO.Policy = policy
 	rec := obs.New()
 	opts.Obs = rec
 	c, err := driver.CompileCtx(context.Background(), b.Sources, opts)
 	if err != nil {
-		t.Fatalf("%s cross=%v b%d policy=%q: %v", b.Name, cross, budget, policy, err)
+		t.Fatalf("%s cross=%v b%d: %v", b.Name, cross, budget, err)
 	}
 	rh := sha256.New()
 	enc := json.NewEncoder(rh)
@@ -69,8 +67,7 @@ func digestCell(t *testing.T, cache *driver.Cache, b *specsuite.Benchmark, cross
 	}
 }
 
-// TestGreedyBitIdenticalToSeed checks every golden cell under the
-// default policy spec ("" = greedy) and the explicit "greedy" name.
+// TestGreedyBitIdenticalToSeed checks every golden cell.
 func TestGreedyBitIdenticalToSeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 84-cell differential matrix; skipped under -short")
@@ -101,9 +98,9 @@ func TestGreedyBitIdenticalToSeed(t *testing.T) {
 					t.Errorf("%s: missing from golden", label)
 					continue
 				}
-				got := digestCell(t, cache, b, cross, budget, "")
+				got := digestCell(t, cache, b, cross, budget)
 				if got != want {
-					t.Errorf("%s: greedy diverged from seed:\n got %+v\nwant %+v", label, got, want)
+					t.Errorf("%s: diverged from the golden:\n got %+v\nwant %+v", label, got, want)
 				}
 				cells++
 			}
@@ -111,22 +108,5 @@ func TestGreedyBitIdenticalToSeed(t *testing.T) {
 	}
 	if cells != len(golden) {
 		t.Errorf("checked %d cells, golden has %d", cells, len(golden))
-	}
-
-	// The explicit name must be the same policy as the default: spot
-	// check one cell per scope on the largest benchmark.
-	gcc, err := specsuite.ByName("085.gcc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cross := range []bool{false, true} {
-		scope := "module"
-		if cross {
-			scope = "cross"
-		}
-		label := fmt.Sprintf("%s/%s/b100", gcc.Name, scope)
-		if got := digestCell(t, cache, gcc, cross, 100, "greedy"); got != golden[label] {
-			t.Errorf("%s: explicit \"greedy\" spec diverged from default", label)
-		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/opt"
-	"repro/internal/policy"
 )
 
 // hlo carries the state of one HLO invocation.
@@ -98,10 +97,6 @@ func RunCheckedCtx(ctx context.Context, p *ir.Program, scope Scope, opts Options
 	if opts.Passes <= 0 {
 		opts.Passes = 1
 	}
-	pol, err := policy.Parse(opts.Policy)
-	if err != nil {
-		return &Stats{}, err
-	}
 	h := &hlo{
 		ctx:     ctx,
 		prog:    p,
@@ -160,7 +155,7 @@ func RunCheckedCtx(ctx context.Context, p *ir.Program, scope Scope, opts Options
 		if opts.Clone {
 			h.siteSeq = p.AssignSites(h.siteSeq)
 			sp := h.beginPhase("clone")
-			pol.ClonePass(policyHost{h}, stage)
+			h.clonePass(stage)
 			h.endPhase(sp)
 			sp = h.beginPhase("clone-opt")
 			h.reoptimize()
@@ -169,7 +164,7 @@ func RunCheckedCtx(ctx context.Context, p *ir.Program, scope Scope, opts Options
 		if opts.Inline {
 			h.siteSeq = p.AssignSites(h.siteSeq)
 			sp := h.beginPhase("inline")
-			pol.InlinePass(policyHost{h}, stage)
+			h.inlinePass(stage)
 			h.endPhase(sp)
 			sp = h.beginPhase("inline-opt")
 			h.reoptimize()

@@ -2,43 +2,143 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/ipa"
 	"repro/internal/ir"
-	"repro/internal/policy"
+	"repro/internal/obs"
 )
 
-// inlineCandidates legality-screens every edge of g in edge order (the
-// enumeration half of Figure 4) and returns the viable sites with their
-// figure of merit; ranking, budget accounting and the perform schedule
-// belong to the decision policy. Rejection remarks for illegal or
-// quarantined sites are emitted when emit is set — the first
-// enumeration of a phase; re-enumerating policies pass false so the
-// remark stream carries each legality decision once.
-func (h *hlo) inlineCandidates(g *ipa.Graph, emit bool) []*policy.InlineSite {
-	var cands []*policy.InlineSite
+// inlineSite is one legality-screened inline candidate with its figure
+// of merit. cost and headroom are filled in by the selection loop and
+// flow into the optimization remark: the projected compile-cost delta
+// and the stage budget remaining when the decision was made.
+type inlineSite struct {
+	caller, callee *ir.Func
+	site           int32
+	benefit        int64
+	cost, headroom int64
+}
+
+// inlinePass implements Figure 4: screen, rank by benefit, select
+// greedily under the stage budget with cascaded-cost accounting, then
+// perform the accepted inlines in bottom-up call-graph order.
+func (h *hlo) inlinePass(stageBudget int64) {
+	g := ipa.Build(h.prog)
+	cands := h.inlineCandidates(g)
+	// Rank by benefit; deterministic tie-break.
+	sort.Slice(cands, func(i, j int) bool {
+		a, b := cands[i], cands[j]
+		if a.benefit != b.benefit {
+			return a.benefit > b.benefit
+		}
+		if a.caller.QName != b.caller.QName {
+			return a.caller.QName < b.caller.QName
+		}
+		return a.site < b.site
+	})
+
+	// Greedy selection with cascaded cost: est tracks the projected size
+	// of each routine as accepted inlines expand it, so the cost of
+	// inlining B into A reflects B's own accepted inlines (the paper's
+	// schedule insertion).
+	est := make(map[*ir.Func]int64)
+	sizeOf := func(f *ir.Func) int64 {
+		if s, ok := est[f]; ok {
+			return s
+		}
+		s := int64(f.Size())
+		est[f] = s
+		return s
+	}
+	var accepted []*inlineSite
+	c := h.cost
+	for _, cand := range cands {
+		if cand.benefit <= 0 {
+			h.remarkInline(cand, false, RejNoBenefit)
+			continue
+		}
+		callerSz, calleeSz := sizeOf(cand.caller), sizeOf(cand.callee)
+		x := h.costOf(callerSz+calleeSz) - h.costOf(callerSz)
+		cand.cost = x
+		cand.headroom = stageBudget - c
+		if c+x > stageBudget {
+			h.remarkInline(cand, false, RejBudget)
+			continue
+		}
+		c += x
+		est[cand.caller] = callerSz + calleeSz
+		accepted = append(accepted, cand)
+	}
+
+	// Perform bottom-up: callers that are themselves callees of later
+	// inlines must be expanded first, so schedule by post-order index.
+	order := ipa.PostOrder(g)
+	sort.SliceStable(accepted, func(i, j int) bool {
+		return order[accepted[i].caller] < order[accepted[j].caller]
+	})
+	for i, cand := range accepted {
+		if h.stopped() {
+			for _, rest := range accepted[i:] {
+				h.remarkInline(rest, false, RejStopped)
+			}
+			return
+		}
+		h.inline(cand)
+	}
+}
+
+// inlineCandidates legality-screens every edge of g in edge order and
+// returns the viable sites with their figure of merit, remarking each
+// illegal or quarantined site.
+func (h *hlo) inlineCandidates(g *ipa.Graph) []*inlineSite {
+	var cands []*inlineSite
 	for _, e := range g.Edges {
 		if r := inlineLegal(e, h.scope); r != OK {
-			if emit {
-				h.remarkEdge(RemarkInline, e, r)
-			}
+			h.remarkEdge(RemarkInline, e, r)
 			continue
 		}
 		if h.skippedFunc(e.Caller) || h.skippedFunc(e.Callee) {
-			if emit {
-				h.remarkEdge(RemarkInline, e, SkippedFunc)
-			}
+			h.remarkEdge(RemarkInline, e, SkippedFunc)
 			continue
 		}
-		cands = append(cands, &policy.InlineSite{
-			Caller:  e.Caller,
-			Callee:  e.Callee,
-			Site:    e.Instr().Site,
-			Benefit: h.inlineBenefit(e),
-			Args:    len(e.Instr().Args),
+		cands = append(cands, &inlineSite{
+			caller:  e.Caller,
+			callee:  e.Callee,
+			site:    e.Instr().Site,
+			benefit: h.inlineBenefit(e),
 		})
 	}
 	return cands
+}
+
+// inline performs one accepted inline under the pass firewall: body
+// splice, incremental cost and statistics bookkeeping, and the accept
+// remark. A declined mutation (the site vanished or was retargeted
+// since the graph was built) emits the "retargeted" rejection; a
+// rolled-back one was already remarked by guardMutation.
+func (h *hlo) inline(cand *inlineSite) {
+	old := int64(cand.caller.Size())
+	outcome := h.guardMutation(
+		obs.Remark{Kind: RemarkInline, Caller: cand.caller.QName, Callee: cand.callee.QName,
+			Site: cand.site, Benefit: cand.benefit},
+		[]*ir.Func{cand.caller, cand.callee},
+		func() ([]*ir.Func, string, error) {
+			ptInline.Inject()
+			if err := h.performInline(cand); err != nil {
+				return nil, "", err
+			}
+			return nil, fmt.Sprintf("inline %s into %s", cand.callee.QName, cand.caller.QName), nil
+		})
+	switch outcome {
+	case fwOK:
+		h.recost(cand.caller, old)
+		h.stats.Inlines++
+		h.countOp()
+		h.remarkInline(cand, true, OK)
+	case fwDeclined:
+		h.remarkInline(cand, false, RejRetargeted)
+	}
 }
 
 // inlineBenefit is the figure of merit of Section 2.4: profile frequency
@@ -78,17 +178,17 @@ func (h *hlo) inlineBenefit(e *ipa.Edge) int64 {
 // remapping registers, frame offsets and block indices, binding formals
 // to actuals, turning returns into jumps to the continuation, scaling
 // profile counts, and promoting cross-module statics.
-func (h *hlo) performInline(cand *policy.InlineSite) error {
-	caller, callee := cand.Caller, cand.Callee
-	blk, idx, ok := ir.FindSite(caller, cand.Site)
+func (h *hlo) performInline(cand *inlineSite) error {
+	caller, callee := cand.caller, cand.callee
+	blk, idx, ok := ir.FindSite(caller, cand.site)
 	if !ok {
-		return fmt.Errorf("core: site %d vanished from %s", cand.Site, caller.QName)
+		return fmt.Errorf("core: site %d vanished from %s", cand.site, caller.QName)
 	}
 	call := blk.Instrs[idx].Clone()
 	if call.Op != ir.Call || call.Callee != callee.QName {
 		// The site was retargeted (e.g. to a clone) since the graph was
 		// built; skip rather than inline the wrong body.
-		return fmt.Errorf("core: site %d retargeted", cand.Site)
+		return fmt.Errorf("core: site %d retargeted", cand.site)
 	}
 
 	regBase := ir.Reg(caller.NumRegs)

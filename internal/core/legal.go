@@ -48,16 +48,6 @@ const (
 	RolledBackPanic  // mutation panicked; snapshots restored
 	RolledBackVerify // per-mutation verification failed; snapshots restored
 	SkippedFunc      // function quarantined by an earlier rollback (skip-func)
-
-	// Policy-specific decision codes (internal/policy; absent from
-	// greedy streams). BloatFactor is bottomup's per-function growth-cap
-	// rejection; AlwaysDirective marks an accept forced by a source
-	// always-inline directive past the benefit/bloat screens; Reranked
-	// marks a priority-queue accept decided after an earlier mutation
-	// re-ranked the queue.
-	BloatFactor
-	AlwaysDirective
-	Reranked
 )
 
 var reasonNames = [...]string{
@@ -85,9 +75,6 @@ var reasonNames = [...]string{
 	RolledBackPanic:  "rolled-back-panic",
 	RolledBackVerify: "rolled-back-verify",
 	SkippedFunc:      "skipped-func",
-	BloatFactor:      "bloat-factor",
-	AlwaysDirective:  "always-inline",
-	Reranked:         "re-ranked",
 }
 
 func (r Reason) String() string {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/ipa"
 	"repro/internal/ir"
 	"repro/internal/obs"
-	"repro/internal/policy"
 )
 
 // Remark kinds emitted by HLO (obs.Remark.Kind values).
@@ -42,40 +41,41 @@ func (h *hlo) remarkEdge(kind string, e *ipa.Edge, reason Reason) {
 }
 
 // remarkInline records the outcome of one ranked inline candidate.
-func (h *hlo) remarkInline(cand *policy.InlineSite, accepted bool, reason Reason) {
+func (h *hlo) remarkInline(cand *inlineSite, accepted bool, reason Reason) {
 	if h.rec == nil {
 		return
 	}
 	h.rec.Remark(obs.Remark{
 		Kind:     RemarkInline,
 		Pass:     h.pass,
-		Caller:   cand.Caller.QName,
-		Callee:   cand.Callee.QName,
-		Site:     cand.Site,
+		Caller:   cand.caller.QName,
+		Callee:   cand.callee.QName,
+		Site:     cand.site,
 		Accepted: accepted,
 		Reason:   reason.String(),
-		Benefit:  cand.Benefit,
-		Cost:     cand.Cost,
-		Headroom: cand.Headroom,
+		Benefit:  cand.benefit,
+		Cost:     cand.cost,
+		Headroom: cand.headroom,
 	})
 }
 
-// remarkCloneSite records the outcome of one clone-group member site.
-func (h *hlo) remarkCloneSite(grp *policy.CloneGroup, i int, accepted bool, reason Reason, cost, headroom int64, cloneName string) {
+// remarkCloneSite records the outcome of one clone-group member site,
+// with the group's budget state at selection time.
+func (h *hlo) remarkCloneSite(grp *cloneGroup, i int, accepted bool, reason Reason, cloneName string) {
 	if h.rec == nil {
 		return
 	}
 	h.rec.Remark(obs.Remark{
 		Kind:     RemarkClone,
 		Pass:     h.pass,
-		Caller:   grp.Callers[i].QName,
-		Callee:   grp.Callee.QName,
-		Site:     grp.Sites[i],
+		Caller:   grp.callers[i].QName,
+		Callee:   grp.spec.callee.QName,
+		Site:     grp.sites[i],
 		Accepted: accepted,
 		Reason:   reason.String(),
-		Benefit:  grp.Benefits[i],
-		Cost:     cost,
-		Headroom: headroom,
+		Benefit:  grp.benefits[i],
+		Cost:     grp.cost,
+		Headroom: grp.headroom,
 		Detail:   cloneName,
 	})
 }

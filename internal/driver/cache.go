@@ -24,12 +24,9 @@ import (
 // configurations; with a cache the frontend and training work is done
 // once per benchmark instead of once per cell.
 //
-// Both stages run before HLO, so every entry is decision-policy
-// independent by construction: all policies of one benchmark share one
-// parse and one training run, and nothing downstream of the policy
-// choice is ever memoized here. Policy-dependent artifacts — the
-// daemon's rendered responses — live in the serve layer, keyed on the
-// canonical policy identity (serve.respKey).
+// Both stages run before HLO, so nothing that depends on HLO's options
+// is memoized here. The daemon's rendered responses live in the serve
+// layer, keyed on endpoint and request body (serve.respKey).
 //
 // Cached front-end output is pristine: every hit returns a fresh deep
 // copy (ir.Program.Clone), so concurrent compilations never share

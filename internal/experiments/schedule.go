@@ -52,14 +52,6 @@ func costHint(label string) int64 {
 // with the operation budget: later stop-after points inline more and
 // run faster, but compile longer — the dominant term at small budgets
 // is simulation, so earlier points rank longer.
-//
-// Policy-race labels ("…/<policyKey>/b<budget>", key from
-// policy.Parse(...).Key()) rank by the policy segment: priority
-// re-enumerates the candidate set after every accepted mutation, so its
-// compiles run longest; greedy and bottomup are one-enumeration
-// policies of comparable cost. The cost *memory* needs no such care —
-// observed durations key on the full label, policy segment included,
-// so one policy's history never steers another's claim order.
 func seedWeight(label string) int64 {
 	segs := strings.Split(label, "/")
 	li := len(segs) - 1
@@ -72,25 +64,6 @@ func seedWeight(label string) int64 {
 			li--
 			last = segs[li]
 		}
-	}
-	// Budgeted policy cells ("…/priority/b150") rank by the policy
-	// segment; the budget suffix shifts cost far less than the policy's
-	// enumeration strategy does. (Figure 8 labels end in "opsN", so this
-	// never swallows their budget segment.)
-	if n, ok := strings.CutPrefix(last, "b"); ok && li >= 1 {
-		if _, err := strconv.Atoi(n); err == nil && n != "" {
-			li--
-			last = segs[li]
-		}
-	}
-	if last == "priority" {
-		return 480
-	}
-	if strings.HasPrefix(last, "bottomup") {
-		return 430
-	}
-	if last == "greedy" {
-		return 420
 	}
 	switch last {
 	case "train":

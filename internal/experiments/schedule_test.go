@@ -60,45 +60,27 @@ func TestScheduleOrderFig8BudgetsEarlierFirst(t *testing.T) {
 	}
 }
 
-func TestScheduleOrderPolicyCells(t *testing.T) {
-	// Policy-race cells rank by the policy segment on a cold start —
-	// priority (re-enumerating) before bottomup and greedy, the shared
-	// neither baseline before all of them — and the budget suffix never
-	// hides the policy segment.
-	labels := []string{
-		"cell/policyrace/022.li/greedy/b100",
-		"cell/policyrace/022.li/bottomup:bloat=300/b100",
-		"cell/policyrace/022.li/priority/b100",
-		"cell/policyrace/022.li/neither",
-	}
-	order := scheduleOrder(len(labels), func(i int) string { return labels[i] })
-	want := []int{3, 2, 1, 0}
-	for p := range want {
-		if order[p] != want[p] {
-			t.Fatalf("policy schedule = %v, want %v", order, want)
-		}
-	}
-	// Per-vector deck cells of a policy config rank like their config.
-	if a, b := seedWeight("cell/policyrace/124.m88ksim/priority/b150/v3"),
-		seedWeight("cell/policyrace/022.li/priority/b100"); a != b {
-		t.Fatalf("vector suffix changes policy seed weight: %d vs %d", a, b)
+func TestScheduleOrderVectorCells(t *testing.T) {
+	// Per-vector cells of a split ref deck ("…/c/v3") rank like their
+	// configuration: the vector suffix only names a slice of the workload.
+	if a, b := seedWeight("cell/table1/124.m88ksim/c/v3"),
+		seedWeight("cell/table1/022.li/c"); a != b {
+		t.Fatalf("vector suffix changes seed weight: %d vs %d", a, b)
 	}
 }
 
-func TestScheduleCostMemoryNamespacedByPolicy(t *testing.T) {
-	// The satellite regression: noteCost on one policy's label must not
-	// skew another policy's cost hint for the same benchmark and budget.
-	// Labels carry the canonical policy key, so cost memory is
-	// per-policy by construction.
-	greedy := "cell/sched-policy-test/085.gcc/greedy/b100"
-	prio := "cell/sched-policy-test/085.gcc/priority/b100"
-	before := costHint(prio)
-	noteCost(greedy, 30*time.Second)
-	if got := costHint(prio); got != before {
-		t.Fatalf("priority cost hint moved from %d to %d after a greedy observation", before, got)
+func TestScheduleCostMemoryNamespacedByLabel(t *testing.T) {
+	// noteCost on one cell's label must not skew another cell's cost
+	// hint for the same benchmark: cost memory keys on the full label.
+	inline := "cell/sched-label-test/085.gcc/inline"
+	both := "cell/sched-label-test/085.gcc/both"
+	before := costHint(both)
+	noteCost(inline, 30*time.Second)
+	if got := costHint(both); got != before {
+		t.Fatalf("both cost hint moved from %d to %d after an inline observation", before, got)
 	}
-	if costHint(greedy) <= before {
-		t.Fatalf("greedy observation did not raise its own hint above the seed")
+	if costHint(inline) <= before {
+		t.Fatalf("inline observation did not raise its own hint above the seed")
 	}
 }
 

@@ -57,24 +57,6 @@ type Config struct {
 	InjectBug string
 	// Workers bounds Run's parallelism; 0 means par.DefaultWorkers.
 	Workers int
-	// Policies is the decision-policy axis: each spec (policy.Parse
-	// grammar) adds policy variants of representative matrix cells, so
-	// every oracle — output equality, machine agreement, determinism,
-	// VerifyEach — also judges the alternative selection orders. nil
-	// means the default axis (bottomup and priority); an empty non-nil
-	// slice disables the axis (greedy-only matrix).
-	Policies []string
-}
-
-// defaultPolicyAxis is the policy axis applied when Config.Policies is
-// nil: both shipped alternatives at their default parameters.
-var defaultPolicyAxis = []string{"bottomup", "priority"}
-
-func (c Config) policyAxis() []string {
-	if c.Policies == nil {
-		return defaultPolicyAxis
-	}
-	return c.Policies
 }
 
 // DefaultFuel bounds reference runs. Each seed is executed a dozen
@@ -143,15 +125,10 @@ type cell struct {
 	cached bool
 }
 
-// matrix is the configuration grid of the tentpole: scopes
-// (per-module / cross-module / profile / cross+profile) × budgets ×
-// both cost models × cache behaviour, crossed with the decision-policy
-// axis (two cells per alternative policy: a budgeted cross-module
-// compile, and a profile-fed one under the determinism oracle — a
-// policy whose selection order depends on map iteration or pointer
-// identity fails there). VerifyEach and InjectBug are applied by the
-// engine on top.
-func matrix(cfg Config) []cell {
+// matrix is the configuration grid: scopes (per-module / cross-module /
+// profile / cross+profile) × budgets × both cost models × cache
+// behaviour. VerifyEach and InjectBug are applied by the engine on top.
+func matrix() []cell {
 	base := func(train []int64) driver.Options {
 		o := driver.Options{HLO: core.DefaultOptions()}
 		o.HLO.VerifyEach = true
@@ -165,7 +142,7 @@ func matrix(cfg Config) []cell {
 			return o
 		}
 	}
-	cells := []cell{
+	return []cell{
 		{name: "module/b100", mk: base},
 		{name: "cross/b100", mk: with(func(o *driver.Options, _ []int64) {
 			o.CrossModule = true
@@ -192,23 +169,6 @@ func matrix(cfg Config) []cell {
 			o.TrainInputs = train
 		}), cached: true},
 	}
-	for _, spec := range cfg.policyAxis() {
-		spec := spec
-		cells = append(cells,
-			cell{name: "cross/policy=" + spec + "/b150", mk: with(func(o *driver.Options, _ []int64) {
-				o.CrossModule = true
-				o.HLO.Budget = 150
-				o.HLO.Policy = spec
-			})},
-			cell{name: "cross/profile/policy=" + spec, mk: with(func(o *driver.Options, train []int64) {
-				o.CrossModule = true
-				o.Profile = true
-				o.TrainInputs = train
-				o.HLO.Policy = spec
-			}), twice: true},
-		)
-	}
-	return cells
 }
 
 // CheckSeed generates the seed's program and checks the whole matrix.
@@ -252,7 +212,7 @@ func CheckSources(sources []string, inputs, train []int64, cfg Config) *Failure 
 		return fail("reference", "reference", fmt.Sprintf("train-input interp: %v", err))
 	}
 
-	for _, c := range matrix(cfg) {
+	for _, c := range matrix() {
 		if f := checkCell(c, sources, inputs, train, want, cfg); f != nil {
 			return f
 		}

@@ -131,13 +131,6 @@ func (g *Graph) InCycle(f *ir.Func) bool { return g.inCycle[f] }
 // connected component.
 func (g *Graph) SameSCC(a, b *ir.Func) bool { return g.scc[a] == g.scc[b] }
 
-// SCCIndex returns f's strongly-connected-component ID. Tarjan assigns
-// IDs in completion order, so the ascending sequence is a callees-first
-// topological order of the condensation: for any direct edge
-// caller→callee with the two in different components,
-// SCCIndex(callee) < SCCIndex(caller). Bottom-up policies sort on it.
-func (g *Graph) SCCIndex(f *ir.Func) int { return g.scc[f] }
-
 // PostOrder numbers functions so that callees come before callers
 // (cycles broken arbitrarily but deterministically): the bottom-up
 // perform schedule of the paper's Figure 4.

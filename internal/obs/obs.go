@@ -29,17 +29,17 @@ import (
 // "ok" for accepted decisions, one of the core.Reason strings
 // (e.g. "illegal-varargs", "budget", "no-benefit") for rejections.
 type Remark struct {
-	Kind     string `json:"kind"`              // inline | clone | outline | dead-call
-	Pass     int    `json:"pass,omitempty"`    // 1-based HLO pass; 0 outside the pass loop
-	Caller   string `json:"caller"`            // enclosing routine (QName)
-	Callee   string `json:"callee,omitempty"`  // target routine; empty for indirect sites
-	Site     int32  `json:"site"`              // call-site ID (block index for outline)
+	Kind     string `json:"kind"`             // inline | clone | outline | dead-call
+	Pass     int    `json:"pass,omitempty"`   // 1-based HLO pass; 0 outside the pass loop
+	Caller   string `json:"caller"`           // enclosing routine (QName)
+	Callee   string `json:"callee,omitempty"` // target routine; empty for indirect sites
+	Site     int32  `json:"site"`             // call-site ID (block index for outline)
 	Accepted bool   `json:"accepted"`
-	Reason   string `json:"reason"`            // machine-readable reason code
-	Benefit  int64  `json:"benefit,omitempty"` // figure of merit at decision time
-	Cost     int64  `json:"cost,omitempty"`    // projected compile-cost delta (model units)
+	Reason   string `json:"reason"`             // machine-readable reason code
+	Benefit  int64  `json:"benefit,omitempty"`  // figure of merit at decision time
+	Cost     int64  `json:"cost,omitempty"`     // projected compile-cost delta (model units)
 	Headroom int64  `json:"headroom,omitempty"` // stage budget remaining at decision time
-	Detail   string `json:"detail,omitempty"`  // e.g. the clone or outlined routine created
+	Detail   string `json:"detail,omitempty"`   // e.g. the clone or outlined routine created
 }
 
 // Span is one pipeline phase (schema v2, the flight-recorder form).
@@ -64,7 +64,7 @@ type Span struct {
 	Depth      int           `json:"depth"`              // nesting level at Begin time
 	Start      int64         `json:"start_ns,omitempty"` // ns since the process epoch
 	Dur        time.Duration `json:"dur_ns"`
-	CPU        time.Duration `json:"cpu_ns,omitempty"`     // thread CPU time consumed
+	CPU        time.Duration `json:"cpu_ns,omitempty"`      // thread CPU time consumed
 	AllocBytes int64         `json:"alloc_bytes,omitempty"` // heap bytes allocated (process-wide delta)
 	Allocs     int64         `json:"allocs,omitempty"`      // heap objects allocated (process-wide delta)
 	Open       bool          `json:"open,omitempty"`        // never ended (truncated / in flight)

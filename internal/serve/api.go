@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
@@ -11,7 +14,6 @@ import (
 	"repro/internal/driver"
 	"repro/internal/obs"
 	"repro/internal/pa8000"
-	"repro/internal/policy"
 	"repro/internal/profile"
 )
 
@@ -20,7 +22,8 @@ import (
 // object. Pointer fields distinguish "absent" from "false"/"zero" so an
 // omitted field means the paper's default (core.DefaultOptions), not
 // the Go zero value — a client that sends {} compiles exactly like
-// `hlocc` with no flags.
+// `hlocc` with no flags. A field it does not define is a 400
+// (decodeRequest), never silently ignored.
 type OptionsJSON struct {
 	CrossModule      bool      `json:"cross_module,omitempty"`
 	Profile          bool      `json:"profile,omitempty"`
@@ -41,10 +44,6 @@ type OptionsJSON struct {
 	ColdPenalty    *bool `json:"cold_penalty,omitempty"`
 	LinearCost     bool  `json:"linear_cost,omitempty"`
 	DeadCallElim   *bool `json:"dead_call_elim,omitempty"`
-	// Policy selects the inline/clone decision policy (the wire twin of
-	// `hlocc -policy`): "" or "greedy" for the paper's selection,
-	// "bottomup[:bloat=N]", "priority". Unknown specs are a 400.
-	Policy string `json:"policy,omitempty"`
 }
 
 // driverOptions translates the wire options into a driver configuration
@@ -78,10 +77,6 @@ func (o *OptionsJSON) driverOptions() (driver.Options, error) {
 	hlo.Outline = o.Outline
 	hlo.OutlineMinSize = o.OutlineMinSize
 	hlo.LinearCost = o.LinearCost
-	if _, err := policy.Parse(o.Policy); err != nil {
-		return driver.Options{}, err
-	}
-	hlo.Policy = o.Policy
 
 	opts := driver.Options{
 		CrossModule:      o.CrossModule,
@@ -101,32 +96,6 @@ func (o *OptionsJSON) driverOptions() (driver.Options, error) {
 		opts.ProfileData = db
 	}
 	return opts, nil
-}
-
-// policyIdentity extracts the canonical decision-policy identity from a
-// work-request body: policy.Parse(options.policy).Key(), the policy
-// name plus every parameter at its effective value — "greedy" for an
-// absent field, "bottomup:bloat=300" for a bare "bottomup". The
-// response cache and the single-flight group key on it so one policy's
-// output is never served for another's request, while equivalent
-// spellings of the same configuration canonicalize to one identity. A
-// malformed spec keys by its raw spelling (it never executes —
-// driverOptions rejects it — so only its 400 could ever be shared), and
-// a body that is not JSON keys as "" and is rejected downstream.
-func policyIdentity(body []byte) string {
-	var req struct {
-		Options struct {
-			Policy string `json:"policy"`
-		} `json:"options"`
-	}
-	if json.Unmarshal(body, &req) != nil {
-		return ""
-	}
-	p, err := policy.Parse(req.Options.Policy)
-	if err != nil {
-		return req.Options.Policy
-	}
-	return p.Key()
 }
 
 // CompileRequest is the body of POST /compile.
@@ -226,6 +195,23 @@ func buildCompileResponse(c *driver.Compilation, rec *obs.Recorder, wantRemarks,
 		resp.Phases = obs.Aggregate(rec.Spans()).Phases
 	}
 	return resp
+}
+
+// decodeRequest decodes a /compile, /run or /train body into req. A
+// field req does not define is an error: ignoring it would compile a
+// misspelled option under its default, and the farm tier would cache
+// that answer under the misspelled body. As with json.Unmarshal,
+// anything after the one JSON value is an error too.
+func decodeRequest(body []byte, req any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the request object")
+	}
+	return nil
 }
 
 // mustMarshal encodes a locally constructed value — request bodies in

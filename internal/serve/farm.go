@@ -32,17 +32,11 @@ import (
 // kindResponse is the cas artifact kind for rendered 200 responses.
 const kindResponse = "resp"
 
-// respKey canonicalizes the response cache key: endpoint, the canonical
-// decision-policy identity, and the raw body, length-prefixed by
-// cas.Key. The body is the canonical form of the request (the JSON
-// bytes as sent), matching the flightGroup key. The policy identity —
-// policy.Parse(spec).Key(), name plus every parameter — is keyed
-// explicitly on top of the body bytes so the separation of one policy's
-// rendered output from another's is structural: it cannot silently
-// erode if the body form is ever normalized (whitespace, field order,
-// defaulted fields) before keying.
-func respKey(endpoint, pol string, body []byte) string {
-	return cas.Key([]byte(endpoint), []byte(pol), body)
+// respKey canonicalizes the response cache key: endpoint and the raw
+// body, length-prefixed by cas.Key. The body is the canonical form of
+// the request (the JSON bytes as sent), matching the flightGroup key.
+func respKey(endpoint string, body []byte) string {
+	return cas.Key([]byte(endpoint), body)
 }
 
 // encodeResponse flattens a 200 flightResult: one header line carrying
@@ -71,11 +65,11 @@ func decodeResponse(payload []byte) (*flightResult, bool) {
 // executeFarm is execute wrapped in the response tier. Runs inside the
 // in-process single-flight, so one daemon enters it at most once
 // concurrently per key.
-func (s *Server) executeFarm(ctx context.Context, endpoint, pol string, body []byte, build func(ctx context.Context, body []byte) *flightResult) *flightResult {
+func (s *Server) executeFarm(ctx context.Context, endpoint string, body []byte, build func(ctx context.Context, body []byte) *flightResult) *flightResult {
 	if s.store == nil {
 		return s.execute(ctx, endpoint, body, build)
 	}
-	key := respKey(endpoint, pol, body)
+	key := respKey(endpoint, body)
 	// Bound the cross-process wait by the request ceiling: a follower
 	// stuck behind a slow-but-alive leader eventually stops waiting and
 	// compiles locally rather than failing the request.
@@ -120,5 +114,5 @@ func (s *Server) executeFarm(ctx context.Context, endpoint, pol string, body []b
 // executeFarm uses. Exported for tests and repair tooling that must
 // target a specific farm-store entry from outside the serving process.
 func ResponseCacheKey(endpoint string, body []byte) string {
-	return respKey(endpoint, policyIdentity(body), body)
+	return respKey(endpoint, body)
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -80,52 +81,30 @@ func TestFarmResponseReplay(t *testing.T) {
 	}
 }
 
-// TestFarmPolicyKeysSeparate: the response cache must never replay one
-// policy's output for another policy's request — each policy fills its
-// own entry — while a repeat under the same policy still hits.
-func TestFarmPolicyKeysSeparate(t *testing.T) {
+// TestCompileRejectsUnknownOption: a request field the daemon does not
+// define is a 400 naming the field, never compiled under the default
+// and cached — a misspelled option on /compile and /train, and the
+// retired decision-policy option.
+func TestCompileRejectsUnknownOption(t *testing.T) {
 	s, ts := farmServer(t, t.TempDir(), "a")
-	body := func(pol string) []byte {
-		return []byte(`{"sources":["module m;\nfunc main() int { return 40 + 2; }"],"options":{"policy":"` + pol + `"}}`)
-	}
-	post := func(b []byte) *http.Response {
-		t.Helper()
-		resp, err := http.Post(ts.URL+"/compile", "application/json", bytes.NewReader(b))
+	src := `"sources":["module m;\nfunc main() int { return 0; }"]`
+	for _, c := range []struct{ endpoint, body, field string }{
+		{"/compile", `{` + src + `,"options":{"budjet":50}}`, "budjet"},
+		{"/train", `{` + src + `,"train_input":[1]}`, "train_input"},
+		{"/compile", `{` + src + `,"options":{"policy":"priority"}}`, "policy"},
+	} {
+		resp, err := http.Post(ts.URL+c.endpoint, "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		if data, _ := io.ReadAll(resp.Body); resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d: %s", resp.StatusCode, data)
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), c.field) {
+			t.Errorf("POST %s %s: status %d %q, want 400 naming %q", c.endpoint, c.body, resp.StatusCode, data, c.field)
 		}
-		return resp
 	}
-	if r := post(body("bottomup")); r.Header.Get("X-Hlod-Cache") == "hit" {
-		t.Fatal("cold bottomup request cannot be a hit")
-	}
-	if r := post(body("priority")); r.Header.Get("X-Hlod-Cache") == "hit" {
-		t.Fatal("priority request served from the bottomup entry")
-	}
-	if got := counter(s, "serve.cas.resp.fill"); got != 2 {
-		t.Fatalf("fills = %d, want 2 (one per policy)", got)
-	}
-	if r := post(body("bottomup")); r.Header.Get("X-Hlod-Cache") != "hit" {
-		t.Fatal("repeated bottomup request missed its own entry")
-	}
-}
-
-// TestCompileRejectsBadPolicy: a malformed policy spec is a 400, never
-// a silent fallback to the default policy.
-func TestCompileRejectsBadPolicy(t *testing.T) {
-	_, ts := farmServer(t, t.TempDir(), "a")
-	body := []byte(`{"sources":["module m;\nfunc main() int { return 0; }"],"options":{"policy":"nope"}}`)
-	resp, err := http.Post(ts.URL+"/compile", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
+	if got := counter(s, "serve.cas.resp.fill"); got != 0 {
+		t.Fatalf("fills = %d, want 0: a rejected request was cached", got)
 	}
 }
 

@@ -332,16 +332,12 @@ func (s *Server) workHandler(endpoint string, build func(ctx context.Context, bo
 			return // client gone mid-upload; nothing to write
 		}
 
-		// The flight key is endpoint + canonical policy identity + body
-		// hash. The body hash alone already separates distinct requests;
-		// keying the policy identity explicitly (like respKey does for the
-		// farm tier) guarantees two policies can never share a flight even
-		// if the body form is normalized before hashing some day.
+		// The flight key is endpoint + body hash: every request is a pure
+		// function of its body, so identical bodies share one execution.
 		sum := sha256.Sum256(body)
-		pol := policyIdentity(body)
-		key := endpoint + "\x00" + pol + "\x00" + string(sum[:])
+		key := endpoint + "\x00" + string(sum[:])
 		res, shared, err := s.flights.do(r.Context(), key, func() *flightResult {
-			return s.executeFarm(r.Context(), endpoint, pol, body, build)
+			return s.executeFarm(r.Context(), endpoint, body, build)
 		})
 		if err != nil {
 			// Our own client disconnected while we waited on a flight.
@@ -467,7 +463,7 @@ func (s *Server) mergeCounters(rec *obs.Recorder) {
 
 func (s *Server) buildCompile(ctx context.Context, body []byte) *flightResult {
 	var req CompileRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := decodeRequest(body, &req); err != nil {
 		return jsonError(http.StatusBadRequest, "bad request: "+err.Error())
 	}
 	if err := req.validate(); err != nil {
@@ -498,7 +494,7 @@ func (s *Server) buildCompile(ctx context.Context, body []byte) *flightResult {
 
 func (s *Server) buildRun(ctx context.Context, body []byte) *flightResult {
 	var req RunRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := decodeRequest(body, &req); err != nil {
 		return jsonError(http.StatusBadRequest, "bad request: "+err.Error())
 	}
 	if err := req.validate(); err != nil {
@@ -542,7 +538,7 @@ func (s *Server) buildRun(ctx context.Context, body []byte) *flightResult {
 
 func (s *Server) buildTrain(ctx context.Context, body []byte) *flightResult {
 	var req TrainRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := decodeRequest(body, &req); err != nil {
 		return jsonError(http.StatusBadRequest, "bad request: "+err.Error())
 	}
 	if err := req.validate(); err != nil {

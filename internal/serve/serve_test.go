@@ -355,6 +355,12 @@ func TestRequestValidation(t *testing.T) {
 		t.Errorf("bad JSON = %d (%s), want 400", resp.StatusCode, data)
 	}
 
+	// Trailing data after the request object.
+	resp, data = postJSON(t, ts.URL+"/compile", []byte(`{"sources":["module m; func main() int { return 0; }"]} {}`))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("trailing data = %d (%s), want 400", resp.StatusCode, data)
+	}
+
 	// No sources.
 	resp, data = postJSON(t, ts.URL+"/compile", []byte(`{"sources":[]}`))
 	if resp.StatusCode != http.StatusBadRequest {
