@@ -19,8 +19,8 @@
 //	-quiet            disable the JSON access log on stderr
 //	-pprof            mount net/http/pprof under /debug/pprof/ (default true)
 //	-cache-dir DIR    shared persistent artifact store (compile farm mode):
-//	                  responses, frontend IR, and trained profiles are cached
-//	                  on disk by content address, cache fills are
+//	                  responses and trained profiles are cached on disk
+//	                  by content address, cache fills are
 //	                  single-flighted across every daemon sharing DIR, and a
 //	                  restarted daemon warm-starts from it
 //	-cache-max N      artifact store size cap in bytes (default 256 MiB)

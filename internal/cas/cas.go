@@ -1,10 +1,10 @@
 // Package cas is the compile farm's shared artifact store: a
 // content-addressed, persistent on-disk cache mapping SHA-256 keys to
-// compiler artifacts (frontend IR, trained profiles, compiled output,
-// rendered responses). Many daemons sharing one store directory is the
-// point — every operation is crash-safe (write-temp-then-rename) and
-// every entry is self-validating (versioned header + payload checksum),
-// so a reader can never be corrupted by a writer dying mid-Put.
+// compiler artifacts (trained profiles, rendered responses). Many
+// daemons sharing one store directory is the point — every operation
+// is crash-safe (write-temp-then-rename) and every entry is
+// self-validating (versioned header + payload checksum), so a reader
+// can never be corrupted by a writer dying mid-Put.
 //
 // Corrupt entries degrade, never crash: a bad header, a truncated
 // payload, or a checksum mismatch moves the file into quarantine/ and

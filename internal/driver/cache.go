@@ -4,13 +4,12 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/cas"
 	"repro/internal/interp"
 	"repro/internal/ir"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/profile"
 )
@@ -28,6 +27,8 @@ import (
 // is memoized here. The daemon's rendered responses live in the serve
 // layer, keyed on endpoint and request body (serve.respKey).
 //
+// Each stage is one memo.Group, so concurrent requesters of a key share
+// one fill, and a fill that dies of a context error is never kept.
 // Cached front-end output is pristine: every hit returns a fresh deep
 // copy (ir.Program.Clone), so concurrent compilations never share
 // mutable IR. Cached profile databases are shared without copying —
@@ -37,50 +38,36 @@ import (
 // Hits are observationally identical to misses apart from wall time and
 // flight-recorder attribution: the same pipeline spans are emitted, the
 // same compile-cost charges apply, and errors carry the same messages
-// (a cached permanent error is returned on every subsequent lookup;
-// context-cancellation errors are never cached — see trainProfile).
+// (a cached permanent error is returned on every subsequent lookup).
 // The recorder deliberately sees the difference: misses emit
 // frontend/parse and train/run leaves, hits emit frontend/clone leaves
 // and cache.*.hit counters, so the attribution report can say what the
 // cache saved and what each hit's deep copy costs.
-// A Cache optionally carries a second, persistent tier (SetStore): a
-// content-addressed on-disk store shared by every daemon in a compile
-// farm. Fills consult the disk tier before doing work and publish
-// their results back, so a rebooted process warm-starts from artifacts
-// the farm already built — see persist.go for formats and guarantees.
+// The training stage optionally carries a persistent tier (SetStore):
+// the content-addressed store shared by every daemon in a compile farm,
+// so a rebooted process warm-starts from profiles the farm already
+// trained, and the farm trains each key once — see persist.go.
 type Cache struct {
-	mu        sync.Mutex
-	frontends map[string]*frontendEntry
-	trains    map[string]*trainEntry
-	store     *cas.Store // tier 2, nil when purely in-memory
+	frontends memo.Group[*ir.Program]
+	trains    memo.Group[*trainEntry]
 }
 
 // NewCache returns an empty cache.
-func NewCache() *Cache { return &Cache{} }
-
-type frontendEntry struct {
-	once sync.Once
-	prog *ir.Program
-	err  error
+func NewCache() *Cache {
+	return &Cache{
+		frontends: memo.Group[*ir.Program]{Retain: true},
+		trains:    memo.Group[*trainEntry]{Retain: true},
+	}
 }
 
+// trainEntry is one training stage's outcome.
 type trainEntry struct {
-	// done is closed when the filling caller finishes (successfully or
-	// not). Unlike the frontend's sync.Once, training is cancellable: the
-	// fill runs under the FIRST requester's context, and if that context
-	// dies mid-train the entry is evicted before done is closed, so a
-	// waiting requester retries as the new filler under its own context
-	// instead of inheriting a stranger's cancellation error. Permanent
-	// errors (bad sources, failing training run) are latched forever,
-	// matching the frontend cache.
-	done chan struct{}
 	data *profile.Data
 	res  *interp.Result
 	// costQuad/costLinear are the instrumented build's compile cost
 	// under both cost models, so one entry serves any HLO.LinearCost.
 	costQuad   int64
 	costLinear int64
-	err        error
 }
 
 // cost returns the instrumented build's compile cost under the given
@@ -129,46 +116,24 @@ func (c *Cache) Frontend(sources []string) (*ir.Program, error) {
 // parse happens per source set, so merged attribution stays
 // deterministic.
 func (c *Cache) frontend(sources []string, rec *obs.Recorder) (*ir.Program, bool, error) {
-	if c == nil {
+	parse := func(context.Context) (*ir.Program, error) {
 		sp := rec.Begin("frontend/parse")
-		p, err := Frontend(sources)
-		sp.End()
+		defer sp.End()
+		return Frontend(sources)
+	}
+	if c == nil {
+		p, err := parse(context.Background())
 		return p, false, err
 	}
-	key := sourceKey(sources)
-	c.mu.Lock()
-	if c.frontends == nil {
-		c.frontends = make(map[string]*frontendEntry)
-	}
-	e, ok := c.frontends[key]
-	if !ok {
-		e = &frontendEntry{}
-		c.frontends[key] = e
-	}
-	c.mu.Unlock()
-	filled := false
-	e.once.Do(func() {
-		filled = true
-		if c.store != nil {
-			if p, ok := c.loadFrontend(key, rec); ok {
-				e.prog = p
-				return
-			}
-		}
-		sp := rec.Begin("frontend/parse")
-		e.prog, e.err = Frontend(sources)
-		sp.End()
-		if e.err == nil && c.store != nil {
-			c.storeFrontend(key, e.prog, rec)
-		}
-	})
-	if e.err != nil {
-		return nil, !filled, e.err
+	p, ev, err := c.frontends.Do(context.Background(), sourceKey(sources), parse)
+	hit := ev&memo.Shared != 0
+	if err != nil {
+		return nil, hit, err
 	}
 	sp := rec.Begin("frontend/clone")
-	p := e.prog.Clone()
+	p = p.Clone()
 	sp.End()
-	return p, !filled, nil
+	return p, hit, nil
 }
 
 // trainProfile memoizes the PBO training stage: instrumented build,
@@ -176,54 +141,29 @@ func (c *Cache) frontend(sources []string, rec *obs.Recorder) (*ir.Program, bool
 // build's compile cost under both cost models so the caller can charge
 // exactly what an uncached run would have charged.
 //
-// Cancellation protocol: the first requester for a key fills the entry
-// under its own context. Requesters that find a fill in flight wait for
-// it (or their own context, whichever dies first). A fill that ends in
-// a context error is evicted rather than latched — the canceling
-// requester gets its own ctx error, and any waiter retries from the
-// top, becoming the new filler.
-// The returned hit flag reports whether the entry was already filled
+// The first requester for a key fills the entry under its own context;
+// the returned hit flag reports whether the entry was already filled
 // (or being filled by someone else) — waiters count as hits: they pay
-// wall time but no training work of their own.
+// wall time but no training work of their own. With a store attached,
+// the filler's recorder also counts cache.train.disk-hit when the
+// profile was loaded from the store and cache.train.disk-fill when it
+// was trained and stored.
 func (c *Cache) trainProfile(ctx context.Context, sources []string, train []int64, extras [][]int64, rec *obs.Recorder) (*trainEntry, bool, error) {
+	fill := func(ctx context.Context) (*trainEntry, error) {
+		return c.train(ctx, sources, train, extras, rec)
+	}
 	if c == nil {
-		e := &trainEntry{}
-		e.fill(ctx, c, sources, train, extras, rec)
-		return e, false, e.err
+		e, err := fill(ctx)
+		return e, false, err
 	}
-	key := trainKey(sources, train, extras)
-	for {
-		c.mu.Lock()
-		if c.trains == nil {
-			c.trains = make(map[string]*trainEntry)
-		}
-		e, ok := c.trains[key]
-		if !ok {
-			e = &trainEntry{done: make(chan struct{})}
-			c.trains[key] = e
-			c.mu.Unlock()
-			e.fill(ctx, c, sources, train, extras, rec)
-			if isCtxErr(e.err) {
-				c.mu.Lock()
-				if c.trains[key] == e {
-					delete(c.trains, key)
-				}
-				c.mu.Unlock()
-			}
-			close(e.done)
-			return e, false, e.err
-		}
-		c.mu.Unlock()
-		select {
-		case <-e.done:
-			if isCtxErr(e.err) {
-				continue // the filler was canceled; retry as the filler
-			}
-			return e, true, e.err
-		case <-ctx.Done():
-			return nil, true, ctx.Err()
-		}
+	e, ev, err := c.trains.Do(ctx, cas.Key([]byte(trainKey(sources, train, extras))), fill)
+	if ev&memo.Hit != 0 {
+		rec.Count("cache.train.disk-hit", 1)
 	}
+	if ev&memo.Fill != 0 {
+		rec.Count("cache.train.disk-fill", 1)
+	}
+	return e, ev&memo.Shared != 0, err
 }
 
 // TrainProfile is the memoizing, cancellable counterpart of the
@@ -242,48 +182,33 @@ func (c *Cache) TrainProfile(ctx context.Context, sources []string, train []int6
 // attribute training latency the same way batch compiles do.
 func (c *Cache) TrainProfileObs(ctx context.Context, sources []string, train []int64, extras [][]int64, rec *obs.Recorder) (*profile.Data, error) {
 	e, hit, err := c.trainProfile(ctx, sources, train, extras, rec)
-	if rec != nil {
-		if hit {
-			rec.Count("cache.train.hit", 1)
-		} else {
-			rec.Count("cache.train.miss", 1)
-		}
-	}
+	countCache(rec, "cache.train", hit)
 	if err != nil {
 		return nil, err
 	}
 	return e.data, nil
 }
 
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// fill runs the training stage, reusing the front-end cache for the
+// train runs the training stage, reusing the front-end cache for the
 // instrumented build. Error messages match the historical uncached
 // paths exactly. Each interpreter execution runs inside a "train/run"
 // span on rec (the filling requester's recorder), so the attribution
 // report separates training interpretation from the rest of the train
 // stage's bookkeeping.
-func (e *trainEntry) fill(ctx context.Context, c *Cache, sources []string, train []int64, extras [][]int64, rec *obs.Recorder) {
-	if c != nil && c.store != nil {
-		if e.loadTrain(c, trainKey(sources, train, extras), rec) {
-			return
-		}
-	}
+func (c *Cache) train(ctx context.Context, sources []string, train []int64, extras [][]int64, rec *obs.Recorder) (*trainEntry, error) {
 	trainProg, _, err := c.frontend(sources, rec)
 	if err != nil {
-		e.err = err
-		return
+		return nil, err
 	}
-	e.costQuad = programCost(trainProg, false)
-	e.costLinear = programCost(trainProg, true)
+	e := &trainEntry{
+		costQuad:   programCost(trainProg, false),
+		costLinear: programCost(trainProg, true),
+	}
 	sp := rec.Begin("train/run")
 	res, err := interp.RunCtx(ctx, trainProg, interp.Options{Inputs: train, Profile: true})
 	sp.End()
 	if err != nil {
-		e.err = fmt.Errorf("driver: training run: %w", err)
-		return
+		return nil, fmt.Errorf("driver: training run: %w", err)
 	}
 	e.res = res
 	db := res.Profile
@@ -292,13 +217,10 @@ func (e *trainEntry) fill(ctx context.Context, c *Cache, sources []string, train
 		res2, err := interp.RunCtx(ctx, trainProg, interp.Options{Inputs: extra, Profile: true})
 		sp.End()
 		if err != nil {
-			e.err = fmt.Errorf("driver: extra training run: %w", err)
-			return
+			return nil, fmt.Errorf("driver: extra training run: %w", err)
 		}
 		db.Merge(res2.Profile, 100)
 	}
 	e.data = db
-	if c != nil && c.store != nil {
-		e.storeTrain(c, trainKey(sources, train, extras), rec)
-	}
+	return e, nil
 }

@@ -90,9 +90,8 @@ var ptFrontend = resilience.Register("driver/frontend", resilience.KindDegrade)
 // program. A front-end panic — a parser bug on a pathological input, or
 // an injected fault at driver/frontend — is contained and reported as
 // an error. Containing it here (rather than in callers) also keeps the
-// Cache sound: its per-source sync.Once would otherwise be poisoned by
-// an escaping panic and hand every later hit a nil program with a nil
-// error.
+// Cache sound: a panic escaping a memo fill would leave the entry
+// unfinished and every later requester of those sources waiting on it.
 func Frontend(sources []string) (p *ir.Program, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {

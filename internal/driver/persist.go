@@ -1,175 +1,48 @@
 package driver
 
-// Tier 2 of the compile cache: a persistent content-addressed store
-// (internal/cas) behind the in-memory maps, so a rebooted daemon
-// warm-starts from artifacts any process in the farm already built.
+// The training stage's persistent tier: trained profiles live in a
+// content-addressed store (internal/cas) behind the in-memory memo, so
+// a rebooted daemon warm-starts from profiles any process in the farm
+// already trained, and the store's fill lease lets the farm train each
+// key once.
 //
-// Two artifact kinds live here:
+// An entry ("profile" kind) is the instrumented build's compile cost
+// under both cost models, then the trained database in the profile
+// package's stable text form, keyed by cas.Key over trainKey — the
+// same key the in-memory memo uses. A read or decode failure —
+// corruption (quarantined by cas), version skew — falls back to
+// training.
 //
-//   - "ir": the front end's resolved program, serialized as
-//     length-framed isom module listings. The isom text form is the
-//     round-trip-stable interchange format the fuzzer's oracle already
-//     pins, and every Put self-checks the fixed point
-//     (decode(encode(p)) re-encodes to identical bytes) before any
-//     other process can read the entry.
-//   - "profile": the trained profile database plus the instrumented
-//     build's compile cost under both cost models, in the profile
-//     package's stable text form.
-//
-// Keys are the in-memory cache keys (already length-prefixed SHA-256
-// material) rendered through cas.Key, so canonicalization lives in one
-// place. Disk tiers are opportunistic: any read or decode failure —
-// miss, corruption (quarantined by cas), version skew — falls back to
-// recomputing, and cross-process fill coordination is the serve
-// layer's lease protocol, not the driver's.
+// The front end has no store tier: re-parsing a program is faster than
+// decoding a stored one.
 
 import (
 	"bytes"
-	"encoding/hex"
 	"fmt"
 	"strconv"
 	"strings"
 
 	"repro/internal/cas"
-	"repro/internal/ir"
-	"repro/internal/isom"
-	"repro/internal/obs"
+	"repro/internal/memo"
 	"repro/internal/profile"
 )
 
-const (
-	kindFrontend = "ir"
-	kindProfile  = "profile"
-)
-
-// SetStore attaches a persistent second tier. Call before the cache is
+// SetStore attaches the persistent tier. Call before the cache is
 // shared (hlod does this at boot); a nil store leaves the cache purely
 // in-memory.
 func (c *Cache) SetStore(st *cas.Store) {
-	if c == nil {
+	if c == nil || st == nil {
 		return
 	}
-	c.store = st
+	c.trains.Tier = &memo.Tier[*trainEntry]{Store: st, Kind: "profile", Encode: encodeTrain, Decode: decodeTrain}
 }
 
-// Store returns the attached second tier, or nil.
-func (c *Cache) Store() *cas.Store {
-	if c == nil {
-		return nil
-	}
-	return c.store
-}
-
-func frontendDiskKey(memKey string) string {
-	return hex.EncodeToString([]byte(memKey))
-}
-
-func trainDiskKey(memKey string) string {
-	return cas.Key([]byte(memKey))
-}
-
-// encodeProgram frames each module's isom listing with a byte length,
-// so the decoder can split the concatenation without re-lexing.
-func encodeProgram(p *ir.Program) []byte {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "modules %d\n", len(p.Modules))
-	for _, m := range p.Modules {
-		s := m.String()
-		fmt.Fprintf(&buf, "module %d\n", len(s))
-		buf.WriteString(s)
-	}
-	return buf.Bytes()
-}
-
-func decodeProgram(raw []byte) (*ir.Program, error) {
-	rest := string(raw)
-	var n int
-	if _, err := fmt.Sscanf(rest, "modules %d\n", &n); err != nil {
-		return nil, fmt.Errorf("driver: ir entry: bad module count: %w", err)
-	}
-	if cut := strings.IndexByte(rest, '\n'); cut >= 0 {
-		rest = rest[cut+1:]
-	}
-	mods := make([]*ir.Module, 0, n)
-	for i := 0; i < n; i++ {
-		var size int
-		if _, err := fmt.Sscanf(rest, "module %d\n", &size); err != nil {
-			return nil, fmt.Errorf("driver: ir entry: module %d frame: %w", i, err)
-		}
-		cut := strings.IndexByte(rest, '\n')
-		rest = rest[cut+1:]
-		if size < 0 || size > len(rest) {
-			return nil, fmt.Errorf("driver: ir entry: module %d frame overruns payload", i)
-		}
-		m, err := isom.Read(strings.NewReader(rest[:size]))
-		if err != nil {
-			return nil, fmt.Errorf("driver: ir entry: module %d: %w", i, err)
-		}
-		mods = append(mods, m)
-		rest = rest[size:]
-	}
-	p := ir.NewProgram(mods...)
-	if err := p.Resolve(); err != nil {
-		return nil, fmt.Errorf("driver: ir entry: %w", err)
-	}
-	return p, nil
-}
-
-// loadFrontend tries the disk tier for a parsed program. The decode
-// runs inside a "frontend/decode" span — the disk hit's analogue of
-// frontend/parse — so attribution separates warm boots from cold ones.
-func (c *Cache) loadFrontend(memKey string, rec *obs.Recorder) (*ir.Program, bool) {
-	raw, err := c.store.Get(kindFrontend, frontendDiskKey(memKey))
-	if err != nil {
-		return nil, false
-	}
-	sp := rec.Begin("frontend/decode")
-	p, derr := decodeProgram(raw)
-	sp.End()
-	if derr != nil {
-		// Integrity passed but the payload doesn't decode (e.g. an isom
-		// grammar change without a cas version bump): recompute.
-		return nil, false
-	}
-	if rec != nil {
-		rec.Count("cache.frontend.disk-hit", 1)
-	}
-	return p, true
-}
-
-// storeFrontend persists a freshly parsed program, verifying the
-// encode/decode fixed point first: an entry other daemons will trust
-// must reproduce itself byte for byte.
-func (c *Cache) storeFrontend(memKey string, p *ir.Program, rec *obs.Recorder) {
-	payload := encodeProgram(p)
-	rt, err := decodeProgram(payload)
-	if err != nil || !bytes.Equal(encodeProgram(rt), payload) {
-		return // never expected (the fuzz oracle pins the round trip); skip persisting
-	}
-	if c.store.Put(kindFrontend, frontendDiskKey(memKey), payload) == nil && rec != nil {
-		rec.Count("cache.frontend.disk-fill", 1)
-	}
-}
-
-// loadTrain tries the disk tier for a trained profile entry. On a hit
-// the entry carries the database and both compile costs but no
-// interp.Result — Compilation.TrainResult is nil on warm boots, like a
-// compile fed a stored -use-profile database.
-func (e *trainEntry) loadTrain(c *Cache, memKey string, rec *obs.Recorder) bool {
-	raw, err := c.store.Get(kindProfile, trainDiskKey(memKey))
-	if err != nil {
-		return false
-	}
-	sp := rec.Begin("train/load")
-	ok := e.decodeTrain(raw)
-	sp.End()
-	if ok && rec != nil {
-		rec.Count("cache.train.disk-hit", 1)
-	}
-	return ok
-}
-
-func (e *trainEntry) decodeTrain(raw []byte) bool {
+// decodeTrain parses a stored profile entry. The entry carries the
+// database and both compile costs but no interp.Result —
+// Compilation.TrainResult is nil on warm boots, like a compile fed a
+// stored -use-profile database.
+func decodeTrain(raw []byte) (*trainEntry, bool) {
+	e := &trainEntry{}
 	rest := string(raw)
 	for _, want := range []struct {
 		name string
@@ -177,34 +50,32 @@ func (e *trainEntry) decodeTrain(raw []byte) bool {
 	}{{"costquad", &e.costQuad}, {"costlinear", &e.costLinear}} {
 		cut := strings.IndexByte(rest, '\n')
 		if cut < 0 {
-			return false
+			return nil, false
 		}
 		fields := strings.Fields(rest[:cut])
 		rest = rest[cut+1:]
 		if len(fields) != 2 || fields[0] != want.name {
-			return false
+			return nil, false
 		}
 		v, err := strconv.ParseInt(fields[1], 10, 64)
 		if err != nil {
-			return false
+			return nil, false
 		}
 		*want.dst = v
 	}
 	db, err := profile.Read(strings.NewReader(rest))
 	if err != nil {
-		return false
+		return nil, false
 	}
 	e.data = db
-	return true
+	return e, true
 }
 
-func (e *trainEntry) storeTrain(c *Cache, memKey string, rec *obs.Recorder) {
+func encodeTrain(e *trainEntry) []byte {
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "costquad %d\ncostlinear %d\n", e.costQuad, e.costLinear)
 	if e.data.Write(&buf) != nil {
-		return
+		return nil
 	}
-	if c.store.Put(kindProfile, trainDiskKey(memKey), buf.Bytes()) == nil && rec != nil {
-		rec.Count("cache.train.disk-fill", 1)
-	}
+	return buf.Bytes()
 }

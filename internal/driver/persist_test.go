@@ -1,6 +1,8 @@
 package driver_test
 
 import (
+	"context"
+	"sync"
 	"testing"
 
 	"repro/internal/cas"
@@ -11,10 +13,10 @@ import (
 
 // TestWarmStartFromStore is the farm's warm-boot contract at the driver
 // layer: a fresh Cache (a "rebooted daemon") backed by the same cas
-// store must compile without re-running the front end or the training
-// interpreter, and the result must be observationally identical —
-// stats, compile cost, code size, simulation output — to the cold
-// build that filled the store.
+// store must compile without re-running the training interpreter, and
+// the result must be observationally identical — stats, compile cost,
+// code size, simulation output — to the cold build that filled the
+// store.
 func TestWarmStartFromStore(t *testing.T) {
 	b, err := specsuite.ByName("022.li")
 	if err != nil {
@@ -54,7 +56,7 @@ func TestWarmStartFromStore(t *testing.T) {
 	cold.SetStore(store)
 	cbuild, crec, cout := compile(cold)
 	cc := counters(crec)
-	if cc["cache.frontend.disk-fill"] == 0 || cc["cache.train.disk-fill"] == 0 {
+	if cc["cache.train.disk-fill"] == 0 {
 		t.Fatalf("cold build did not fill the store: %v", cc)
 	}
 
@@ -62,14 +64,11 @@ func TestWarmStartFromStore(t *testing.T) {
 	warm.SetStore(store)
 	wbuild, wrec, wout := compile(warm)
 	wc := counters(wrec)
-	if wc["cache.frontend.disk-hit"] == 0 {
-		t.Fatalf("warm build re-parsed instead of decoding the ir entry: %v", wc)
-	}
 	if wc["cache.train.disk-hit"] == 0 {
 		t.Fatalf("warm build re-trained instead of loading the profile entry: %v", wc)
 	}
 	for _, span := range wrec.Spans() {
-		if span.Name == "frontend/parse" || span.Name == "train/run" {
+		if span.Name == "train/run" {
 			t.Fatalf("warm build ran %s", span.Name)
 		}
 	}
@@ -95,8 +94,7 @@ func TestWarmStartFromStore(t *testing.T) {
 		t.Error("warm build carries a TrainResult; disk hits must leave it nil")
 	}
 
-	// The warm program's listing must be byte-identical to the cold one:
-	// the isom round trip is a fixed point, not merely semantics-preserving.
+	// The warm program's listing must be byte-identical to the cold one.
 	for i, m := range wbuild.IR.Modules {
 		if m.String() != cbuild.IR.Modules[i].String() {
 			t.Fatalf("module %d listing diverged after disk round trip", i)
@@ -129,5 +127,59 @@ func TestStoreMissFallback(t *testing.T) {
 	}
 	if c1.Stats != plain.Stats || c1.CodeSize != plain.CodeSize {
 		t.Fatalf("store-backed compile diverged from plain compile")
+	}
+}
+
+// TestFarmTrainsOnce: two daemons (two store handles with different
+// owners on one directory, each behind its own Cache) that miss the same
+// training key at once train it once between them — one trains and
+// stores, the other waits on the fill lease and loads the stored
+// profile.
+func TestFarmTrainsOnce(t *testing.T) {
+	b, err := specsuite.ByName("134.perl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var caches [2]*driver.Cache
+	for i, owner := range []string{"a", "b"} {
+		store, err := cas.Open(dir, cas.Options{Owner: owner})
+		if err != nil {
+			t.Fatal(err)
+		}
+		caches[i] = driver.NewCache()
+		caches[i].SetStore(store)
+	}
+	var recs [2]*obs.Recorder
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range caches {
+		recs[i] = obs.New()
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			if _, err := caches[i].TrainProfileObs(context.Background(), b.Sources, b.Train, nil, recs[i]); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+
+	runs, counts := 0, map[string]int64{}
+	for _, rec := range recs {
+		for _, sp := range rec.Spans() {
+			if sp.Name == "train/run" {
+				runs++
+			}
+		}
+		for _, c := range rec.Counters() {
+			counts[c.Name] += c.Value
+		}
+	}
+	if runs != 1 || counts["cache.train.disk-fill"] != 1 || counts["cache.train.disk-hit"] != 1 {
+		t.Fatalf("train/run spans = %d, disk-fill = %d, disk-hit = %d; want 1, 1 and 1",
+			runs, counts["cache.train.disk-fill"], counts["cache.train.disk-hit"])
 	}
 }

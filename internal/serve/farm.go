@@ -2,27 +2,26 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"net/http"
 
 	"repro/internal/cas"
+	"repro/internal/memo"
 )
 
-// The farm tier: when the server has a cas.Store (hlod -cache-dir),
-// fully rendered 200 responses are persisted content-addressed by
-// (endpoint, body), and cache fills are coordinated across processes
-// with the store's lease protocol. The in-process flightGroup already
-// coalesces concurrent identical requests inside one daemon; this layer
-// extends the same guarantee to N daemons sharing a cache directory:
+// The farm tier: when the server has a cas.Store (hlod -cache-dir), the
+// response memo gains a store tier (see New). Fully rendered 200
+// responses persist content-addressed by (endpoint, body), and fills
+// are coordinated across every daemon sharing the directory by the
+// store's fill lease:
 //
 //   - a response hit is replayed as bytes, before admission — it costs
 //     no worker slot and no queue wait, and carries X-Hlod-Cache: hit;
-//   - a miss acquires the cross-process fill lease; the winner compiles
-//     and Puts, followers poll the entry (or take over if the leader
+//   - a miss takes the fill lease; the holder compiles and stores, and
+//     the other daemons wait for the entry (or take over if the holder
 //     dies — cas.WaitEntry's contract);
 //   - every pipeline is deterministic and every request is a pure
-//     function of its body, so replaying the leader's bytes (including
-//     its recorded phase wall times, exactly as in-process followers
+//     function of its body, so replaying the filler's bytes (including
+//     its recorded phase wall times, exactly as in-process waiters
 //     already do) is byte-correct.
 //
 // Store trouble — a full disk, a lease wait that outlives the request
@@ -32,16 +31,20 @@ import (
 // kindResponse is the cas artifact kind for rendered 200 responses.
 const kindResponse = "resp"
 
-// respKey canonicalizes the response cache key: endpoint and the raw
-// body, length-prefixed by cas.Key. The body is the canonical form of
-// the request (the JSON bytes as sent), matching the flightGroup key.
+// respKey canonicalizes the response key, in memory and in the store:
+// endpoint and the raw body, length-prefixed by cas.Key. The body is
+// the canonical form of the request (the JSON bytes as sent).
 func respKey(endpoint string, body []byte) string {
 	return cas.Key([]byte(endpoint), body)
 }
 
 // encodeResponse flattens a 200 flightResult: one header line carrying
-// the content type, then the raw body.
+// the content type, then the raw body. Any other status stays out of
+// the store (nil).
 func encodeResponse(res *flightResult) []byte {
+	if res.status != http.StatusOK {
+		return nil
+	}
 	out := make([]byte, 0, len(res.contentType)+1+len(res.body))
 	out = append(out, res.contentType...)
 	out = append(out, '\n')
@@ -62,56 +65,28 @@ func decodeResponse(payload []byte) (*flightResult, bool) {
 	}, true
 }
 
-// executeFarm is execute wrapped in the response tier. Runs inside the
-// in-process single-flight, so one daemon enters it at most once
-// concurrently per key.
-func (s *Server) executeFarm(ctx context.Context, endpoint string, body []byte, build func(ctx context.Context, body []byte) *flightResult) *flightResult {
-	if s.store == nil {
-		return s.execute(ctx, endpoint, body, build)
-	}
-	key := respKey(endpoint, body)
-	// Bound the cross-process wait by the request ceiling: a follower
-	// stuck behind a slow-but-alive leader eventually stops waiting and
-	// compiles locally rather than failing the request.
-	wctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
-	defer cancel()
-	payload, lease, err := s.store.WaitEntry(wctx, kindResponse, key)
-	if err != nil {
-		if ctx.Err() != nil {
-			return &flightResult{canceled: true} // our client left while we waited
-		}
-		s.reg.Count("serve.cas.degraded", 1)
-		return s.execute(ctx, endpoint, body, build)
-	}
-	if payload != nil {
-		if res, ok := decodeResponse(payload); ok {
-			s.reg.Count("serve.cas.resp.hit", 1)
-			return res
-		}
-		s.reg.Count("serve.cas.degraded", 1)
-		return s.execute(ctx, endpoint, body, build)
-	}
-	// We hold the fill lease: compile, publish, release.
-	defer lease.Release()
-	s.reg.Count("serve.cas.resp.miss", 1)
-	res := s.execute(ctx, endpoint, body, build)
-	if res.status == http.StatusOK && !res.canceled {
-		// A failed Put (disk full, store wedged, injected cas/write
-		// fault) is a counted degradation, not an error: the response
-		// was compiled locally and is served regardless; only the farm
-		// misses out on the shared fill.
-		if s.store.Put(kindResponse, key, encodeResponse(res)) == nil {
-			s.reg.Count("serve.cas.resp.fill", 1)
-		} else {
-			s.reg.Count("serve.cas.resp.fill_fail", 1)
+// countTier records what the store tier did for one request under the
+// serve counter names.
+func (s *Server) countTier(ev memo.Event) {
+	for _, c := range []struct {
+		ev   memo.Event
+		name string
+	}{
+		{memo.Hit, "serve.cas.resp.hit"},
+		{memo.Miss, "serve.cas.resp.miss"},
+		{memo.Fill, "serve.cas.resp.fill"},
+		{memo.FillFail, "serve.cas.resp.fill_fail"},
+		{memo.Degraded, "serve.cas.degraded"},
+	} {
+		if ev&c.ev != 0 {
+			s.reg.Count(c.name, 1)
 		}
 	}
-	return res
 }
 
 // ResponseCacheKey computes the cas key under which a daemon persists
-// the rendered 200 response for (endpoint, body) — exactly the key
-// executeFarm uses. Exported for tests and repair tooling that must
+// the rendered 200 response for (endpoint, body) — exactly the key the
+// response memo uses. Exported for tests and repair tooling that must
 // target a specific farm-store entry from outside the serving process.
 func ResponseCacheKey(endpoint string, body []byte) string {
 	return respKey(endpoint, body)

@@ -50,7 +50,7 @@ func writeMetrics(w io.Writer, s *Server) error {
 	fmt.Fprintf(bw, "# TYPE hlod_completed_total counter\n")
 	fmt.Fprintf(bw, "hlod_completed_total %d\n", st.CompletedTotal)
 	fmt.Fprintf(bw, "# TYPE hlod_dedup_hits_total counter\n")
-	fmt.Fprintf(bw, "hlod_dedup_hits_total %d\n", s.flights.dedupHits())
+	fmt.Fprintf(bw, "hlod_dedup_hits_total %d\n", s.dedupHits.Load())
 
 	// Farm tier: the shared artifact store's operation counters
 	// (hits/misses/puts/evictions/quarantines and the lease protocol's

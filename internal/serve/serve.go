@@ -27,7 +27,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -40,6 +39,7 @@ import (
 
 	"repro/internal/cas"
 	"repro/internal/driver"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/pa8000"
 	"repro/internal/profile"
@@ -86,15 +86,23 @@ type Config struct {
 // Server is the HTTP handler. Create with New; it is immutable after
 // creation apart from the internal registries.
 type Server struct {
-	cfg     Config
-	adm     *admission
-	flights flightGroup
-	cache   *driver.Cache
-	store   *cas.Store    // farm tier; nil for a standalone daemon
-	reg     *obs.Recorder // server-lifetime counter registry
-	log     *accessLogger
-	mux     *http.ServeMux
-	start   time.Time
+	cfg Config
+	adm *admission
+	// responses coalesces concurrent identical requests: the first
+	// caller with a key executes, callers arriving while it runs share
+	// its byte-identical response and consume no queue slot. Completed
+	// responses are not kept in memory — with a store, the farm tier
+	// (farm.go) is their persistence; without one, cross-request
+	// memoization lives in driver.Cache, which an executed compile hits
+	// anyway.
+	responses memo.Group[*flightResult]
+	dedupHits atomic.Int64 // requests served a response another request executed
+	cache     *driver.Cache
+	store     *cas.Store    // farm tier; nil for a standalone daemon
+	reg       *obs.Recorder // server-lifetime counter registry
+	log       *accessLogger
+	mux       *http.ServeMux
+	start     time.Time
 	// life is the server-lifetime span on reg, opened at New and never
 	// ended while serving: the shutdown flush reports it open/truncated,
 	// which is exactly what it is.
@@ -134,6 +142,18 @@ func New(cfg Config) *Server {
 		log:   newAccessLogger(cfg.AccessLog),
 		mux:   http.NewServeMux(),
 		start: time.Now(),
+	}
+	if cfg.Store != nil {
+		s.responses.Tier = &memo.Tier[*flightResult]{
+			Store:  cfg.Store,
+			Kind:   kindResponse,
+			Encode: encodeResponse,
+			Decode: decodeResponse,
+			// A waiter stuck behind a slow but live filler in another
+			// daemon stops waiting at the request ceiling and compiles
+			// locally rather than failing the request.
+			MaxWait: cfg.RequestTimeout,
+		}
 	}
 	s.life = s.reg.Begin("server")
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -295,6 +315,31 @@ func (s *Server) handleQueue(w http.ResponseWriter, r *http.Request) {
 	w.Write(append(data, '\n'))
 }
 
+// flightResult is the fully rendered outcome of one executed request:
+// exactly the bytes and headers a waiting request can replay. canceled
+// marks an execution that died of its own client's disconnect — such a
+// result is private to its request and never shared.
+type flightResult struct {
+	status      int
+	contentType string
+	retryAfter  int // seconds; nonzero only on 429
+	body        []byte
+	canceled    bool
+	// queueNS/serviceNS split the executing request's latency into
+	// admission wait and actual work, surfaced as the X-Hlod-Queue-Ms /
+	// X-Hlod-Service-Ms response headers. timed marks results that went
+	// through admission (errors rendered before admission carry no
+	// split). Waiters replay the executing request's split: the work
+	// they waited on is the work these numbers describe.
+	queueNS   int64
+	serviceNS int64
+	timed     bool
+	// cached marks a response replayed from the farm's persistent
+	// store (X-Hlod-Cache: hit): it consumed no worker slot, so it
+	// carries no queue/service split.
+	cached bool
+}
+
 // jsonError renders an error body for the given status.
 func jsonError(status int, msg string) *flightResult {
 	body, _ := json.Marshal(map[string]string{"error": msg})
@@ -332,24 +377,25 @@ func (s *Server) workHandler(endpoint string, build func(ctx context.Context, bo
 			return // client gone mid-upload; nothing to write
 		}
 
-		// The flight key is endpoint + body hash: every request is a pure
-		// function of its body, so identical bodies share one execution.
-		sum := sha256.Sum256(body)
-		key := endpoint + "\x00" + string(sum[:])
-		res, shared, err := s.flights.do(r.Context(), key, func() *flightResult {
-			return s.executeFarm(r.Context(), endpoint, body, build)
+		// Every request is a pure function of its endpoint and body, so
+		// identical bodies share one execution.
+		res, ev, err := s.responses.Do(r.Context(), respKey(endpoint, body), func(ctx context.Context) (*flightResult, error) {
+			res := s.execute(ctx, endpoint, body, build)
+			if res.canceled {
+				return nil, context.Canceled // never shared: a waiting request takes over
+			}
+			return res, nil
 		})
+		s.countTier(ev)
 		if err != nil {
-			// Our own client disconnected while we waited on a flight.
+			// Our own client disconnected, mid-work or while waiting.
 			m.err = "client gone: " + err.Error()
 			return
 		}
-		if res.canceled {
-			// We were the leader and our client disconnected mid-work.
-			m.err = "client gone mid-request"
-			return
+		if ev&memo.Shared != 0 {
+			s.dedupHits.Add(1)
+			m.dedup = true
 		}
-		m.dedup = shared
 		m.cached = res.cached
 		if res.status == http.StatusGatewayTimeout {
 			m.timeout = true
@@ -427,10 +473,10 @@ func (s *Server) deadline(ctx context.Context, timeoutMS int64) (context.Context
 // finish classifies a failed pipeline stage. A deadline (server
 // ceiling or the request's own timeout_ms) is a shareable 504 — an
 // identical request would time out the same way. A plain cancellation
-// can only mean the leader's client disconnected, so the flight is
-// marked canceled and never shared; a waiting follower retries under
-// its own live context. Everything else is a 422 compile-level
-// failure.
+// can only mean the executing request's client disconnected, so the
+// result is marked canceled and never shared; a waiting request takes
+// the execution over under its own live context. Everything else is a
+// 422 compile-level failure.
 func finish(err error) *flightResult {
 	if errors.Is(err, context.DeadlineExceeded) {
 		return jsonError(http.StatusGatewayTimeout, "deadline exceeded: "+err.Error())

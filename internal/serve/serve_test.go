@@ -292,7 +292,7 @@ func TestSingleFlight(t *testing.T) {
 	if !bytes.Equal(a.data, b.data) {
 		t.Errorf("deduplicated responses differ:\n%s\n%s", a.data, b.data)
 	}
-	if hits := s.flights.dedupHits(); hits != 1 {
+	if hits := s.dedupHits.Load(); hits != 1 {
 		t.Errorf("dedupHits = %d, want 1", hits)
 	}
 	// Only the leader consumed a worker slot.
