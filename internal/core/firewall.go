@@ -46,7 +46,9 @@ const (
 // created (registered in the program), a description for verification
 // error messages, and an error when it declined before mutating
 // anything. touched lists the pre-existing functions the mutation may
-// modify.
+// modify. Unless it declined, the touched and created functions are
+// marked dirty for the next reoptimize, whether the mutation landed or
+// was rolled back.
 //
 // Under FailAbort the behaviour is exactly historical: no snapshots, a
 // panic propagates, and checkMutation latches the first VerifyEach
@@ -62,6 +64,7 @@ func (h *hlo) guardMutation(proto obs.Remark, touched []*ir.Func, mutate func() 
 		if err != nil {
 			return fwDeclined
 		}
+		h.markDirty(touched, created)
 		h.checkMutation(what, append(touched, created...)...)
 		return fwOK
 	}
@@ -86,6 +89,9 @@ func (h *hlo) guardMutation(proto obs.Remark, touched []*ir.Func, mutate func() 
 		}()
 		created, what, err = mutate()
 	}()
+	if err == nil {
+		h.markDirty(touched, created)
+	}
 
 	restore := func() {
 		for _, nf := range created {
@@ -147,6 +153,17 @@ func (h *hlo) noteRollback(proto obs.Remark, touched []*ir.Func, reason Reason, 
 	}
 }
 
+// markDirty marks functions for re-optimization.
+func (h *hlo) markDirty(touched, created []*ir.Func) {
+	for _, fs := range [2][]*ir.Func{touched, created} {
+		for _, f := range fs {
+			if f != nil {
+				h.dirty[f] = true
+			}
+		}
+	}
+}
+
 // skippedFunc reports whether f was quarantined by an earlier rollback
 // under FailSkipFunc (always false under other policies).
 func (h *hlo) skippedFunc(f *ir.Func) bool { return h.skip != nil && h.skip[f] }
@@ -156,19 +173,24 @@ func (h *hlo) skippedFunc(f *ir.Func) bool { return h.skip != nil && h.skip[f] }
 // the historical path, with no verification after opt (VerifyEach has
 // always covered mutations, not scalar cleanups). Under a non-abort
 // policy the function is snapshotted, panics roll back, and — with
-// VerifyEach — a post-opt verification failure rolls back too.
+// VerifyEach — a post-opt verification failure rolls back too. f ends
+// clean only when its Optimize converged and was not rolled back.
 func (h *hlo) optimizeGuarded(f *ir.Func, pure opt.Purity) {
 	if h.opts.FailPolicy == resilience.FailAbort {
-		opt.Optimize(f, pure)
+		h.dirty[f] = !opt.Optimize(f, pure)
 		return
 	}
 	if h.skippedFunc(f) {
 		return
 	}
-	h.guardMutation(obs.Remark{Kind: RemarkOpt, Caller: f.QName}, []*ir.Func{f},
+	converged := false
+	outcome := h.guardMutation(obs.Remark{Kind: RemarkOpt, Caller: f.QName}, []*ir.Func{f},
 		func() ([]*ir.Func, string, error) {
 			ptOpt.Inject()
-			opt.Optimize(f, pure)
+			converged = opt.Optimize(f, pure)
 			return nil, "optimize " + f.QName, nil
 		})
+	if outcome == fwOK && converged {
+		h.dirty[f] = false
+	}
 }

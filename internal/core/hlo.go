@@ -53,6 +53,18 @@ type hlo struct {
 	// resilience.FailSkipFunc (nil under every other policy). Restores
 	// happen in place, so pointer identity survives a rollback.
 	skip map[*ir.Func]bool
+	// dirty holds the functions reoptimize must visit: every function a
+	// guarded mutation touched or created, and every function whose last
+	// opt.Optimize stopped at its round limit. A mark clears only when
+	// optimizeGuarded's Optimize converged and was not rolled back;
+	// opt.Optimize reads only the body and the purity facts, which are
+	// fixed after the dead-call stage, so re-optimizing a clean
+	// function would be a no-op round.
+	dirty map[*ir.Func]bool
+	// reoptRuns / reoptSkipped count reoptimize's visits to dirty
+	// functions and the clean ones it passed over, published as
+	// hlo.reopt.runs / hlo.reopt.skipped.
+	reoptRuns, reoptSkipped int64
 }
 
 // Run applies HLO to the program under the given scope and options and
@@ -105,6 +117,7 @@ func RunCheckedCtx(ctx context.Context, p *ir.Program, scope Scope, opts Options
 		stats:   &Stats{},
 		cloneDB: make(map[string]string),
 		rec:     opts.Obs,
+		dirty:   make(map[*ir.Func]bool),
 	}
 	p.Funcs(func(f *ir.Func) bool {
 		if f.EntryCount > 0 {
@@ -118,7 +131,8 @@ func RunCheckedCtx(ctx context.Context, p *ir.Program, scope Scope, opts Options
 	// interprocedural side-effect analysis and dead-call deletion
 	// ("they are eliminated before inlining because HLO's
 	// interprocedural analysis determines that they have no side
-	// effect").
+	// effect"). Both optimize every function in scope and so set the
+	// first dirty marks.
 	sp := h.beginPhase("input-opt")
 	h.forScope(func(f *ir.Func) { h.optimizeGuarded(f, nil) })
 	h.endPhase(sp)
@@ -266,13 +280,17 @@ func (h *hlo) checkMutation(what string, funcs ...*ir.Func) {
 // publishCostCounters exposes HLO's own overhead through the counter
 // registry: hlo.bookkeeping-ns is the time the flight recorder's phase
 // spans spent on full-scope Σ size² and size walks, hlo.verify-ns /
-// hlo.verify-count time the per-mutation verifier (VerifyEach). The
-// split answers "is the inliner slow, or is it our bookkeeping?".
+// hlo.verify-count time the per-mutation verifier (VerifyEach), and
+// hlo.reopt.runs / hlo.reopt.skipped count the dirty functions
+// reoptimize visited and the clean ones it skipped. The split answers
+// "is the inliner slow, or is it our bookkeeping?".
 func (h *hlo) publishCostCounters() {
 	if h.rec == nil {
 		return
 	}
 	h.rec.Count("hlo.bookkeeping-ns", h.bookkeepNS)
+	h.rec.Count("hlo.reopt.runs", h.reoptRuns)
+	h.rec.Count("hlo.reopt.skipped", h.reoptSkipped)
 	if h.opts.VerifyEach {
 		h.rec.Count("hlo.verify-ns", h.verifyNS)
 		h.rec.Count("hlo.verify-count", h.verifyCount)
@@ -350,11 +368,17 @@ func (h *hlo) purityOrNil() opt.Purity {
 	return h.purity
 }
 
-// reoptimize re-runs the scalar pipeline over the scope after a
-// transformation pass (Figures 3 and 4: "optimize clones/inlines and
-// recalibrate").
+// reoptimize re-runs the scalar pipeline over the dirty functions in
+// scope after a transformation pass (Figures 3 and 4: "optimize
+// clones/inlines and recalibrate"). A clean function already sits at
+// Optimize's fixpoint, so skipping it changes nothing.
 func (h *hlo) reoptimize() {
 	h.forScope(func(f *ir.Func) {
+		if !h.dirty[f] {
+			h.reoptSkipped++
+			return
+		}
+		h.reoptRuns++
 		old := int64(f.Size())
 		h.optimizeFunc(f)
 		h.recost(f, old)

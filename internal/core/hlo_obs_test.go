@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/driver"
 	"repro/internal/obs"
+	"repro/internal/specsuite"
 	"repro/internal/testutil"
 )
 
@@ -22,7 +24,9 @@ func main() int {
 // TestHLOOverheadCounters pins HLO's self-attribution: an observed run
 // publishes hlo.bookkeeping-ns (the phase spans' full-scope size/cost
 // walks), and with VerifyEach also hlo.verify-ns/hlo.verify-count —
-// one verification per function touched by an accepted mutation.
+// one verification per function touched by an accepted mutation. A
+// 022.li peak build publishes the re-optimization work counts
+// hlo.reopt.runs/hlo.reopt.skipped: both nonzero, and deterministic.
 func TestHLOOverheadCounters(t *testing.T) {
 	run := func(verifyEach bool) map[string]int64 {
 		t.Helper()
@@ -60,4 +64,33 @@ func TestHLOOverheadCounters(t *testing.T) {
 	if plain["hlo.bookkeeping-ns"] <= 0 {
 		t.Errorf("hlo.bookkeeping-ns = %d, want > 0 without VerifyEach too", plain["hlo.bookkeeping-ns"])
 	}
+
+	li, err := specsuite.ByName("022.li")
+	if err != nil {
+		t.Fatal(err)
+	}
+	peak := func() map[string]int64 {
+		t.Helper()
+		opts := driver.DefaultOptions(li.Train)
+		rec := obs.New()
+		opts.Obs = rec
+		if _, err := driver.Compile(li.Sources, opts); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]int64{}
+		for _, c := range rec.Counters() {
+			out[c.Name] = c.Value
+		}
+		return out
+	}
+	first, second := peak(), peak()
+	for _, name := range []string{"hlo.reopt.runs", "hlo.reopt.skipped"} {
+		if first[name] <= 0 {
+			t.Errorf("022.li peak: %s = %d, want > 0", name, first[name])
+		}
+		if first[name] != second[name] {
+			t.Errorf("022.li peak: %s = %d then %d, want a deterministic count", name, first[name], second[name])
+		}
+	}
+	t.Logf("022.li peak: hlo.reopt.runs = %d, hlo.reopt.skipped = %d", first["hlo.reopt.runs"], first["hlo.reopt.skipped"])
 }

@@ -19,73 +19,72 @@ import (
 	"repro/internal/ir"
 )
 
-// latticeVal is a three-level constant lattice value: top (no
-// information yet), a known link-time constant operand (integer, global
-// address, or function address), or bottom (varying).
-type latticeVal struct {
-	bot bool
-	set bool // false and !bot => top
-	op  ir.Operand
-}
+// lv is a three-level constant lattice cell: top (no information yet),
+// bottom (varying), or an interned link-time constant operand (integer,
+// global address, or function address), stored as its index into the
+// per-call table cpState.consts. Interning through a map keyed by the
+// whole Operand makes two constant cells equal exactly when their
+// operands are Eq, so a merge is an integer compare.
+type lv int32
 
-var bottom = latticeVal{bot: true}
+const (
+	top    lv = 0
+	bottom lv = 1
+)
 
-func constVal(op ir.Operand) latticeVal { return latticeVal{set: true, op: op} }
-
-func (v latticeVal) isConst() bool { return v.set && !v.bot }
-
-func meet(a, b latticeVal) latticeVal {
-	switch {
-	case a.bot || b.bot:
-		return bottom
-	case !a.set:
-		return b
-	case !b.set:
-		return a
-	case a.op.Eq(b.op):
-		return a
-	default:
-		return bottom
-	}
-}
+func (v lv) isConst() bool { return v > bottom }
 
 // env is a per-block lattice environment, indexed densely by register
-// (the zero latticeVal is top, so a fresh slice is the all-top state).
-// ConstProp copies an environment per block per fixpoint round; the
-// dense representation keeps that a single memmove, where a
-// register→value map made environment cloning the hottest path in the
-// whole compiler on heavily inlined functions. Out-of-range registers
-// are illegal IR (Verify rejects them), so set may drop such writes.
-type env []latticeVal
+// (top is 0, so a cleared slice is the all-top state). ConstProp copies
+// an environment per block per fixpoint round; the dense 4-byte
+// representation keeps that a single small memmove. Out-of-range
+// registers are illegal IR (Verify rejects them), so set may drop such
+// writes.
+type env []lv
 
-func (e env) get(r ir.Reg) latticeVal {
+func (e env) get(r ir.Reg) lv {
 	if r < 0 || int(r) >= len(e) {
-		return latticeVal{}
+		return top
 	}
 	return e[r]
 }
 
-func (e env) set(r ir.Reg, v latticeVal) {
+func (e env) set(r ir.Reg, v lv) {
 	if r >= 0 && int(r) < len(e) {
 		e[r] = v
 	}
 }
 
-// cpState is ConstProp's pooled working memory: one latticeVal slab
-// carved into per-block environments plus the out scratch, the
-// reached/inWork bit vectors, and the worklist. Pooling it matters:
-// the per-visit env clones the pool replaces were the compiler's
-// largest allocation source (≈36% of all bytes over a Table 1 run),
-// and the GC cycles they forced also drained the simulator's and
-// interpreter's state pools on every cell.
+// cpState is ConstProp's pooled working memory: one lv slab carved into
+// per-block environments plus the out scratch, the reached/inWork bit
+// vectors, the worklist, and the constant table with its intern index.
+// Pooling it matters: the per-visit env clones the pool replaces were
+// the compiler's largest allocation source (≈36% of all bytes over a
+// Table 1 run), and the GC cycles they forced also drained the
+// simulator's and interpreter's state pools on every cell.
 type cpState struct {
-	slab  []latticeVal
-	ins   []env
-	marks []bool // reached[0:nb] ++ inWork[nb:2nb]
-	work  []int
+	slab   []lv
+	ins    []env
+	marks  []bool // reached[0:nb] ++ inWork[nb:2nb]
+	work   []int
+	consts []ir.Operand // consts[v] for every constant cell v; [0:2] unused
+	ids    map[ir.Operand]lv
 }
 
-var cpPool = sync.Pool{New: func() any { return new(cpState) }}
+var cpPool = sync.Pool{New: func() any {
+	return &cpState{consts: make([]ir.Operand, 2), ids: make(map[ir.Operand]lv)}
+}}
+
+// intern returns the constant cell of op.
+func (st *cpState) intern(op ir.Operand) lv {
+	if v, ok := st.ids[op]; ok {
+		return v
+	}
+	v := lv(len(st.consts))
+	st.consts = append(st.consts, op)
+	st.ids[op] = v
+	return v
+}
 
 // ConstProp performs a forward conditional-constant dataflow over f and
 // rewrites the function: operands known constant are substituted,
@@ -96,8 +95,10 @@ func ConstProp(f *ir.Func) bool {
 	nb, nr := len(f.Blocks), int(f.NumRegs)
 	st := cpPool.Get().(*cpState)
 	defer cpPool.Put(st)
+	clear(st.ids)
+	st.consts = st.consts[:2]
 	if need := (nb + 1) * nr; cap(st.slab) < need {
-		st.slab = make([]latticeVal, need)
+		st.slab = make([]lv, need)
 	}
 	if cap(st.ins) < nb {
 		st.ins = make([]env, nb)
@@ -121,9 +122,7 @@ func ConstProp(f *ir.Func) bool {
 	// Entry: parameters and everything else start varying only when
 	// used before definition; the lattice handles that via top.
 	entry := ins[0]
-	for i := range entry {
-		entry[i] = latticeVal{}
-	}
+	clear(entry)
 	for i := 0; i < f.NumParams; i++ {
 		entry[i] = bottom
 	}
@@ -143,22 +142,26 @@ func ConstProp(f *ir.Func) bool {
 		b := f.Blocks[bi]
 		copy(out, ins[bi])
 		for i := range b.Instrs {
-			transfer(&b.Instrs[i], out)
+			st.transfer(&b.Instrs[i], out)
 		}
 		for _, s := range b.Succs() {
-			next := ins[s]
+			next := ins[s][:len(out)]
 			if !reached[s] {
 				copy(next, out)
 				reached[s] = true
 			} else {
+				// Meet out into next: top in out is the identity and
+				// bottom in next absorbs; otherwise next takes out's
+				// constant if it was top and falls to bottom if it held
+				// a different one.
 				changed := false
-				for r := range out {
-					// meet with top is the identity, so top entries of out
-					// leave next unchanged.
-					m := meet(next[r], out[r])
-					v := next[r]
-					if m.bot != v.bot || m.set != v.set || !m.op.Eq(v.op) {
-						next[r] = m
+				for r, o := range out {
+					if n := next[r]; o != top && n != o && n != bottom {
+						if n == top {
+							next[r] = o
+						} else {
+							next[r] = bottom
+						}
 						changed = true
 					}
 				}
@@ -188,7 +191,7 @@ func ConstProp(f *ir.Func) bool {
 			in.Operands(func(o *ir.Operand) {
 				if o.Kind == ir.KindReg {
 					if v := e.get(o.Reg); v.isConst() {
-						*o = v.op
+						*o = st.consts[v]
 						changed = true
 					}
 				}
@@ -197,30 +200,36 @@ func ConstProp(f *ir.Func) bool {
 			if foldInstr(in) {
 				changed = true
 			}
-			transfer(in, e)
+			st.transfer(in, e)
 		}
 	}
 	return changed
 }
 
 // transfer updates the lattice environment across one instruction.
-func transfer(in *ir.Instr, e env) {
-	val := func(o ir.Operand) latticeVal {
+func (st *cpState) transfer(in *ir.Instr, e env) {
+	val := func(o ir.Operand) lv {
 		switch o.Kind {
 		case ir.KindConst, ir.KindGlobalAddr, ir.KindFuncAddr:
-			return constVal(o)
+			return st.intern(o)
 		case ir.KindReg:
 			return e.get(o.Reg)
 		}
 		return bottom
+	}
+	// intConst reports whether v is an integer constant, and its value.
+	intConst := func(v lv) (int64, bool) {
+		if !v.isConst() || !st.consts[v].IsConst() {
+			return 0, false
+		}
+		return st.consts[v].Val, true
 	}
 	switch in.Op {
 	case ir.Mov:
 		e.set(in.Dst, val(in.A))
 	case ir.Neg, ir.Not:
 		a := val(in.A)
-		if a.isConst() && a.op.IsConst() {
-			v := a.op.Val
+		if v, ok := intConst(a); ok {
 			if in.Op == ir.Neg {
 				v = -v
 			} else if v == 0 {
@@ -228,11 +237,11 @@ func transfer(in *ir.Instr, e env) {
 			} else {
 				v = 0
 			}
-			e.set(in.Dst, constVal(ir.ConstOp(v)))
-		} else if a.bot || a.isConst() {
+			e.set(in.Dst, st.intern(ir.ConstOp(v)))
+		} else if a != top {
 			e.set(in.Dst, bottom)
 		} else {
-			e.set(in.Dst, latticeVal{})
+			e.set(in.Dst, top)
 		}
 	case ir.Load, ir.FrameAddr, ir.Alloca, ir.Call, ir.ICall:
 		if in.HasDst() {
@@ -242,21 +251,23 @@ func transfer(in *ir.Instr, e env) {
 	default:
 		if in.Op.IsBinary() {
 			a, b := val(in.A), val(in.B)
+			x, xok := intConst(a)
+			y, yok := intConst(b)
 			switch {
-			case a.isConst() && b.isConst() && a.op.IsConst() && b.op.IsConst():
-				e.set(in.Dst, constVal(ir.ConstOp(interp.EvalBinary(in.Op, a.op.Val, b.op.Val))))
-			case a.bot || b.bot:
+			case xok && yok:
+				e.set(in.Dst, st.intern(ir.ConstOp(interp.EvalBinary(in.Op, x, y))))
+			case a == bottom || b == bottom:
 				e.set(in.Dst, bottom)
 			case a.isConst() && b.isConst():
 				// Symbolic constants (addresses): comparisons of identical
 				// symbols fold; everything else is varying but link-constant.
-				if in.Op.IsCompare() && a.op.Eq(b.op) {
-					e.set(in.Dst, constVal(ir.ConstOp(interp.EvalBinary(in.Op, 1, 1))))
+				if in.Op.IsCompare() && a == b {
+					e.set(in.Dst, st.intern(ir.ConstOp(interp.EvalBinary(in.Op, 1, 1))))
 				} else {
 					e.set(in.Dst, bottom)
 				}
 			default:
-				e.set(in.Dst, latticeVal{})
+				e.set(in.Dst, top)
 			}
 		}
 	}

@@ -9,9 +9,11 @@ const maxRounds = 6
 // Optimize runs the scalar pipeline on one function to a bounded
 // fixpoint: constant propagation and branch folding, CFG cleanup, local
 // value numbering, and dead-code elimination. pure may be nil.
-// It reports whether anything changed.
+// It reports whether it converged: some round changed nothing, so a
+// further Optimize under the same purity facts would change nothing
+// either. A run whose last permitted round still changed something
+// reports false.
 func Optimize(f *ir.Func, pure Purity) bool {
-	any := false
 	for round := 0; round < maxRounds; round++ {
 		changed := ConstProp(f)
 		changed = Cleanup(f) || changed
@@ -19,11 +21,10 @@ func Optimize(f *ir.Func, pure Purity) bool {
 		changed = DCE(f, pure) || changed
 		changed = Cleanup(f) || changed
 		if !changed {
-			break
+			return true
 		}
-		any = true
 	}
-	return any
+	return false
 }
 
 // OptimizeProgram runs Optimize over every function.
