@@ -16,12 +16,11 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pa8000"
 	"repro/internal/specsuite"
-	"repro/internal/testutil"
 )
 
 // benchModes runs the experiment generators both serially (-j 1, the
-// reference) and on the full worker pool; the recorded wall times are
-// the parallel-harness speedup evidence in BENCH_experiments.json.
+// reference) and on the full worker pool; comparing the two sub-benchmarks'
+// cells/s shows the parallel harness's speedup on the host at hand.
 var benchModes = []struct {
 	name    string
 	workers int
@@ -81,10 +80,6 @@ func BenchmarkTable1(b *testing.B) {
 			if mode.workers == 0 {
 				b.Logf("\n%s", experiments.RenderTable1(rows))
 			}
-			testutil.RecordBenchJSON(b, "table1/"+mode.name, map[string]float64{
-				"wall_s":        wall / float64(b.N),
-				"cells_per_sec": cps,
-			})
 		})
 	}
 }
@@ -120,10 +115,6 @@ func BenchmarkFigure6(b *testing.B) {
 			if mode.workers == 0 {
 				b.Logf("\n%s", experiments.RenderFigure6(rows))
 			}
-			testutil.RecordBenchJSON(b, "figure6/"+mode.name, map[string]float64{
-				"wall_s":        wall / float64(b.N),
-				"cells_per_sec": cps,
-			})
 		})
 	}
 }

@@ -4,26 +4,26 @@
 // Usage:
 //
 //	hlobench [-fig5] [-table1] [-fig6] [-fig7] [-fig8]
-//	         [-all] [-trace] [-profile] [-spans-json F] [-trace-out F]
-//	         [-min-coverage PCT] [-j N] [-sim-engine predecoded|reference]
+//	         [-all] [-trace] [-profile] [-spans-json F]
+//	         [-j N] [-sim-engine predecoded|reference]
 //
 // With no flags it behaves as -all. Figure 8 accepts -fig8points to
 // bound the sweep resolution. -trace prints, after each experiment, the
 // pipeline phase spans and the unified counter registry accumulated
 // over the experiment's compiles and runs (to stderr). -profile prints
 // instead the aggregated per-phase attribution ("where the time goes")
-// for each experiment; -spans-json and -trace-out dump the full flight
-// record — every span of every experiment — as JSONL (for hloprof) and
-// Chrome trace-event JSON (for chrome://tracing) respectively;
-// -min-coverage fails the run if the attribution explains less than PCT
-// percent of the total recorded wall time. -j fans the independent
-// (benchmark × configuration) cells of each experiment over N workers
-// (default: one per CPU); the tables are byte-identical for every N, so
-// -j 1 is purely the slow reference mode. -sim-engine selects the
-// PA-8000 simulator implementation: the predecoded run-batched engine
-// (default) or the instruction-at-a-time reference interpreter — the
-// two produce byte-identical tables, so "reference" exists only to
-// demonstrate that and to measure the engine's speedup.
+// for each experiment; -spans-json dumps the full flight record — every
+// span of every experiment — as JSONL, which hloprof renders as the
+// attribution report, the straggler ranking, Chrome trace-event JSON
+// (-trace-out) and the coverage gate (-min-coverage). -j fans the
+// independent (benchmark × configuration) cells of each experiment over
+// N workers in submission order (default: one per CPU); the tables are
+// byte-identical for every N, so -j 1 is purely the slow reference
+// mode. -sim-engine selects the PA-8000 simulator implementation: the
+// predecoded run-batched engine (default) or the instruction-at-a-time
+// reference interpreter — the two produce byte-identical tables, so
+// "reference" exists only to demonstrate that and to measure the
+// engine's speedup.
 package main
 
 import (
@@ -51,8 +51,6 @@ func main() {
 	trace := flag.Bool("trace", false, "print per-experiment phase traces and counters to stderr")
 	profileFlag := flag.Bool("profile", false, "print per-experiment attribution reports to stderr")
 	spansJSON := flag.String("spans-json", "", "write the full flight record as span JSONL to this file")
-	traceOut := flag.String("trace-out", "", "write the full flight record as Chrome trace-event JSON to this file")
-	minCoverage := flag.Float64("min-coverage", 0, "fail if attribution coverage % is below this (0 disables)")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "worker count for the experiment cells (1 = serial)")
 	simEngine := flag.String("sim-engine", "predecoded", "simulator engine: predecoded or reference")
 	flag.Parse()
@@ -73,15 +71,14 @@ func main() {
 	// per worker: the one-time 32 MB refills otherwise land inside (and
 	// distort) whichever experiments run first after a GC.
 	pa8000.Prewarm(pa8000.Config{}, min(*jobs, 4))
-	recording := *trace || *profileFlag || *spansJSON != "" || *traceOut != "" || *minCoverage > 0
+	recording := *trace || *profileFlag || *spansJSON != ""
 	var rec *obs.Recorder
 	if recording {
 		rec = obs.New()
 		experiments.SetRecorder(rec)
 	}
 	// allSpans accumulates every experiment's flight record across the
-	// per-experiment rec.Reset(), for the end-of-run dumps and the
-	// coverage gate.
+	// per-experiment rec.Reset(), for the end-of-run -spans-json dump.
 	var allSpans []obs.Span
 	run := func(name string, enabled bool, f func() (string, error)) {
 		if !enabled && !*all {
@@ -156,26 +153,17 @@ func main() {
 	})
 
 	if *spansJSON != "" {
-		writeFile(*spansJSON, func(f *os.File) error { return obs.WriteSpansJSONL(f, allSpans) })
-	}
-	if *traceOut != "" {
-		writeFile(*traceOut, func(f *os.File) error { return obs.WriteTraceEvents(f, allSpans) })
-	}
-	if *minCoverage > 0 {
-		if got := 100 * obs.Aggregate(allSpans).Coverage(); got < *minCoverage {
-			fmt.Fprintf(os.Stderr, "hlobench: attribution coverage %.1f%% below the -min-coverage %.1f%% gate\n", got, *minCoverage)
-			os.Exit(1)
-		}
+		writeSpans(*spansJSON, allSpans)
 	}
 }
 
-func writeFile(path string, write func(f *os.File) error) {
+func writeSpans(path string, spans []obs.Span) {
 	f, err := os.Create(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hlobench: %v\n", err)
 		os.Exit(1)
 	}
-	err = write(f)
+	err = obs.WriteSpansJSONL(f, spans)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -28,8 +28,8 @@
 //	-remarks        print optimization remarks (one line per decision)
 //	-remarks-json F write the remark stream as JSONL to file F
 //	-trace          print the pipeline phase trace and counters to stderr
-//	-trace-out F    write the flight record as Chrome trace-event JSON to F
-//	-spans-json F   write the flight record as span JSONL to F (for hloprof)
+//	-spans-json F   write the flight record as span JSONL to F (hloprof
+//	                renders it, Chrome trace-event JSON included)
 //	-timeout D      abort compilation/training/simulation after duration D
 //	-fail-policy P  pass-firewall policy when a transformation panics or
 //	                fails verification: abort (default; fail the compile),
@@ -41,7 +41,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -74,7 +73,6 @@ func main() {
 	remarks := flag.Bool("remarks", false, "print optimization remarks (one line per inline/clone/outline/dead-call decision)")
 	remarksJSON := flag.String("remarks-json", "", "write the optimization remark stream as JSONL to this file")
 	trace := flag.Bool("trace", false, "print the pipeline phase trace and counters to stderr")
-	traceOut := flag.String("trace-out", "", "write the flight record as Chrome trace-event JSON to this file")
 	spansJSON := flag.String("spans-json", "", "write the flight record as span JSONL to this file")
 	timeout := flag.Duration("timeout", 0, "abort compilation/training/simulation after this duration (0 = no limit)")
 	failPolicy := flag.String("fail-policy", "abort", "pass-firewall policy when a transformation panics or fails verification: abort | rollback | skip-func")
@@ -113,7 +111,7 @@ func main() {
 	// -stats needs the per-pass spans, so any observability flag turns
 	// the recorder on.
 	var rec *obs.Recorder
-	if *remarks || *remarksJSON != "" || *trace || *stats || *traceOut != "" || *spansJSON != "" {
+	if *remarks || *remarksJSON != "" || *trace || *stats || *spansJSON != "" {
 		rec = obs.New()
 	}
 	opts.Obs = rec
@@ -224,21 +222,18 @@ func main() {
 			fatal(err)
 		}
 	}
-	if *traceOut != "" {
-		writeSink(*traceOut, rec, obs.WriteTraceEvents)
-	}
 	if *spansJSON != "" {
-		writeSink(*spansJSON, rec, obs.WriteSpansJSONL)
+		writeSpans(*spansJSON, rec)
 	}
 }
 
-// writeSink dumps the flight record through one of the obs span sinks.
-func writeSink(path string, rec *obs.Recorder, write func(w io.Writer, spans []obs.Span) error) {
+// writeSpans dumps the flight record as span JSONL.
+func writeSpans(path string, rec *obs.Recorder) {
 	f, err := os.Create(path)
 	if err != nil {
 		fatal(err)
 	}
-	err = write(f, rec.Spans())
+	err = obs.WriteSpansJSONL(f, rec.Spans())
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -21,11 +21,6 @@
 //	-budgets list  HLO budgets to cycle (default 50,100,150,200)
 //	-profile       enable PBO (training) on every request
 //	-cross         cross-module scope
-//	-json FILE     merge the report into FILE (default BENCH_serve.json,
-//	               empty disables)
-//	-key NAME      scenario key for the JSON merge (default
-//	               hloload/<endpoint>/c<N>) — lets a farm benchmark
-//	               record e.g. farm/compile/2-daemons-sharded
 //	-retries N     per-request retry budget for 429/transport failures
 //	               (default 0 = unlimited)
 //	-backoff D     first backoff delay; grows exponentially with jitter,
@@ -42,7 +37,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -63,8 +57,6 @@ func main() {
 	budgets := flag.String("budgets", "", "comma-separated HLO budgets")
 	profileFlag := flag.Bool("profile", false, "enable PBO training on every request")
 	cross := flag.Bool("cross", false, "cross-module scope")
-	jsonOut := flag.String("json", "BENCH_serve.json", "merge the report into this file (empty disables)")
-	keyFlag := flag.String("key", "", "scenario key for the JSON merge (default hloload/<endpoint>/c<N>)")
 	retries := flag.Int("retries", 0, "per-request retry budget (0 = unlimited)")
 	backoff := flag.Duration("backoff", 50*time.Millisecond, "first backoff delay")
 	backoffCap := flag.Duration("backoff-cap", 2*time.Second, "exponential backoff ceiling")
@@ -120,51 +112,10 @@ func main() {
 		fmt.Printf("  status %s: %d\n", code, n)
 	}
 
-	if *jsonOut != "" {
-		if err := mergeReport(*jsonOut, *keyFlag, cfg, rep); err != nil {
-			fatal(err)
-		}
-	}
 	if !rep.Healthy() {
 		fmt.Fprintln(os.Stderr, "hloload: unhealthy run (non-2xx/429 responses or transport errors)")
 		os.Exit(1)
 	}
-}
-
-// mergeReport read-modify-writes the report into the JSON file under a
-// key naming the scenario, in the same shape as BENCH_experiments.json
-// (scenario → metric → value).
-func mergeReport(path, key string, cfg serve.LoadConfig, rep *serve.LoadReport) error {
-	if key == "" {
-		key = fmt.Sprintf("hloload/%s/c%d", cfg.Endpoint, cfg.Clients)
-	}
-	all := map[string]map[string]float64{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &all); err != nil {
-			all = map[string]map[string]float64{} // overwrite corrupt files
-		}
-	}
-	all[key] = map[string]float64{
-		"requests":         float64(rep.Requests),
-		"throughput_rps":   rep.Throughput,
-		"p50_ms":           rep.P50MS,
-		"p90_ms":           rep.P90MS,
-		"p99_ms":           rep.P99MS,
-		"max_ms":           rep.MaxMS,
-		"rejected_429":     float64(rep.Rejected),
-		"transport_errors": float64(rep.TransportErrors),
-		"bad_responses":    float64(rep.BadResponses),
-		"wall_s":           rep.WallS,
-		"queue_p50_ms":     rep.QueueP50MS,
-		"queue_p99_ms":     rep.QueueP99MS,
-		"service_p50_ms":   rep.ServiceP50MS,
-		"service_p99_ms":   rep.ServiceP99MS,
-	}
-	data, err := json.MarshalIndent(all, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 func fatal(err error) {

@@ -292,13 +292,10 @@ func (s *Store) Put(kind, key string, payload []byte) (err error) {
 	return nil
 }
 
-// Pin marks (kind, key) unevictable until the matching Unpin. Pins are
-// refcounted and honored by both the inline LRU pass and the background
-// GC. Put pins its own destination and Acquire pins the fill target, so
-// most callers never need this directly.
-func (s *Store) Pin(kind, key string)   { s.pinPath(s.objectPath(kind, key)) }
-func (s *Store) Unpin(kind, key string) { s.unpinPath(s.objectPath(kind, key)) }
-
+// pinPath marks the object at path unevictable until the matching
+// unpinPath. Pins are refcounted and honored by both the inline LRU pass
+// and the background GC. Put pins its own destination and a held fill
+// lease pins its target.
 func (s *Store) pinPath(path string) {
 	s.pinMu.Lock()
 	s.pins[path]++

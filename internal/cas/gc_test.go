@@ -44,7 +44,7 @@ func TestGCNeverEvictsPinned(t *testing.T) {
 		for i := range keys {
 			if rng.Intn(2) == 0 {
 				pinned[i] = true
-				s.Pin("ir", keys[i])
+				s.pinPath(s.objectPath("ir", keys[i]))
 			}
 		}
 		// Age everything into the old generation so both eviction paths

@@ -125,11 +125,6 @@ type Options struct {
 	// FailSkipFunc additionally quarantines them from further
 	// transformation.
 	FailPolicy resilience.FailPolicy
-	// DebugPanicOnVerify restores Run's historical panic on a VerifyEach
-	// failure, for debugger-friendly stack traces at the broken
-	// mutation. Library callers should use RunChecked instead; without
-	// this flag Run latches the error into Stats.VerifyErr.
-	DebugPanicOnVerify bool
 }
 
 // BugInlineSwapArgs is an InjectBug value: performInline binds the first

@@ -47,8 +47,8 @@ const (
 // error messages, and an error when it declined before mutating
 // anything. touched lists the pre-existing functions the mutation may
 // modify. Unless it declined, the touched and created functions are
-// marked dirty for the next reoptimize, whether the mutation landed or
-// was rolled back.
+// marked dirty for the next reoptimize (see markDirty), whether the
+// mutation landed or was rolled back.
 //
 // Under FailAbort the behaviour is exactly historical: no snapshots, a
 // panic propagates, and checkMutation latches the first VerifyEach
@@ -153,13 +153,20 @@ func (h *hlo) noteRollback(proto obs.Remark, touched []*ir.Func, reason Reason, 
 	}
 }
 
-// markDirty marks functions for re-optimization.
+// markDirty marks functions for re-optimization. A touched function is
+// always marked. A created function is marked only when the mutation
+// did not already run optimizeGuarded on it: makeClone optimizes its
+// clone inside the clone mutation, and the mark that Optimize left
+// (clean when it converged and was not rolled back) stays.
 func (h *hlo) markDirty(touched, created []*ir.Func) {
-	for _, fs := range [2][]*ir.Func{touched, created} {
-		for _, f := range fs {
-			if f != nil {
-				h.dirty[f] = true
-			}
+	for _, f := range touched {
+		if f != nil {
+			h.dirty[f] = true
+		}
+	}
+	for _, f := range created {
+		if _, optimized := h.dirty[f]; f != nil && !optimized {
+			h.dirty[f] = true
 		}
 	}
 }

@@ -54,12 +54,13 @@ type hlo struct {
 	// happen in place, so pointer identity survives a rollback.
 	skip map[*ir.Func]bool
 	// dirty holds the functions reoptimize must visit: every function a
-	// guarded mutation touched or created, and every function whose last
-	// opt.Optimize stopped at its round limit. A mark clears only when
-	// optimizeGuarded's Optimize converged and was not rolled back;
-	// opt.Optimize reads only the body and the purity facts, which are
-	// fixed after the dead-call stage, so re-optimizing a clean
-	// function would be a no-op round.
+	// guarded mutation touched or created (a created function the
+	// mutation already optimized keeps that Optimize's mark), and every
+	// function whose last opt.Optimize stopped at its round limit. A
+	// mark clears only when optimizeGuarded's Optimize converged and was
+	// not rolled back; opt.Optimize reads only the body and the purity
+	// facts, which are fixed after the dead-call stage, so
+	// re-optimizing a clean function would be a no-op round.
 	dirty map[*ir.Func]bool
 	// reoptRuns / reoptSkipped count reoptimize's visits to dirty
 	// functions and the clean ones it passed over, published as
@@ -73,15 +74,10 @@ type hlo struct {
 // callers that care. If Options.VerifyEach detects a broken
 // transformation the error is latched into the returned Stats.VerifyErr
 // (the run stops at the offending mutation, so the IR reflects it) —
-// library callers that want the error directly use RunChecked. Setting
-// Options.DebugPanicOnVerify restores the historical panic for
-// debugger-friendly stack traces.
+// library callers that want the error directly use RunChecked.
 func Run(p *ir.Program, scope Scope, opts Options) *Stats {
 	st, err := RunChecked(p, scope, opts)
 	if err != nil {
-		if opts.DebugPanicOnVerify {
-			panic(err)
-		}
 		st.VerifyErr = err
 	}
 	return st

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/opt"
+	"repro/internal/resilience"
 	"repro/internal/testutil"
 )
 
@@ -35,5 +37,55 @@ func TestReoptimizeFinishesUnconvergedFunction(t *testing.T) {
 	before := f.String()
 	if !opt.Optimize(f, nil) || f.String() != before {
 		t.Errorf("HLO left main short of Optimize's fixpoint:\n%s\none more Optimize gives:\n%s", before, f)
+	}
+}
+
+// TestFreshCloneKeepsConvergenceMark pins the dirty set's rule for
+// created functions: makeClone optimizes each new clone inside the
+// clone mutation, and a clone whose Optimize converged stays clean, so
+// reoptimize does not spend a no-op round on it. In the program below
+// HLO (cloning only) makes exactly one clone and retargets one site in
+// main; nothing touches the clone afterwards, so main is the only
+// function reoptimize may visit, under every FailPolicy.
+func TestFreshCloneKeepsConvergenceMark(t *testing.T) {
+	const src = `
+module main;
+extern func print(x int) int;
+
+func dispatch(op int, a int, b int) int {
+	if (op == 0) { return a + b; }
+	if (op == 1) { return a - b; }
+	if (op == 2) { return a * b; }
+	return 0;
+}
+
+func main() int {
+	var i int;
+	var sum int;
+	for (i = 0; i < 50; i = i + 1) {
+		sum = sum + dispatch(2, i, 3);
+	}
+	print(sum);
+	return 0;
+}
+`
+	for _, policy := range []resilience.FailPolicy{resilience.FailAbort, resilience.FailRollback, resilience.FailSkipFunc} {
+		p := testutil.MustBuild(t, src)
+		opts := core.DefaultOptions()
+		opts.Inline = false
+		opts.FailPolicy = policy
+		rec := obs.New()
+		opts.Obs = rec
+		stats := core.Run(p, core.WholeProgram(), opts)
+		if stats.Clones != 1 || stats.CloneRepls != 1 {
+			t.Fatalf("policy %v: clones=%d repls=%d, want one clone with one retargeted site", policy, stats.Clones, stats.CloneRepls)
+		}
+		counts := map[string]int64{}
+		for _, c := range rec.Counters() {
+			counts[c.Name] = c.Value
+		}
+		if got := counts["hlo.reopt.runs"]; got != 1 {
+			t.Errorf("policy %v: hlo.reopt.runs = %d, want 1 (main, whose call site was retargeted; the fresh clone is already at Optimize's fixpoint)", policy, got)
+		}
 	}
 }

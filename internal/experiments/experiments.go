@@ -16,9 +16,9 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/driver"
@@ -62,21 +62,31 @@ var cache = driver.NewCache()
 func ResetCache() { cache = driver.NewCache() }
 
 // forEachCell runs n independent experiment cells across the configured
-// workers, claiming the cells expected to run longest first (see
-// scheduleOrder). Every cell gets a private recorder (when a global
-// recorder is attached) merged back in submission order, so traces are
-// identical to a serial run's under any worker count or claim order.
-// label(i) names cell i's root span ("cell/..."), the unit of
-// straggler ranking, attribution coverage, and cost memory.
+// workers in submission order. Every cell gets a private recorder (when
+// a global recorder is attached) merged back in submission order, so
+// traces are identical to a serial run's under any worker count.
+// label(i) names cell i's root span ("cell/..."), the unit of straggler
+// ranking and attribution coverage.
 func forEachCell(n int, label func(i int) string, task func(i int, rec *obs.Recorder) error) error {
-	order := scheduleOrder(n, label)
-	return par.DoObsNamedOrdered(workers, recorder, n, order, label,
-		func(i int, rec *obs.Recorder) error {
-			start := time.Now()
-			err := task(i, rec)
-			noteCost(label(i), time.Since(start))
-			return err
-		})
+	return par.DoObsNamed(workers, recorder, n, label, task)
+}
+
+// warmTrain runs the shared training stage of each benchmark as its
+// own cell ("cell/<exp>/<bench>/train"). The profile-fed cells of the
+// experiment then hit the training cache, so training cost is
+// attributed to a dedicated span instead of inflating whichever
+// measured cell happened to get there first.
+func warmTrain(exp string, benches []*specsuite.Benchmark) error {
+	label := func(i int) string {
+		return "cell/" + exp + "/" + benches[i].Name + "/train"
+	}
+	return forEachCell(len(benches), label, func(i int, rec *obs.Recorder) error {
+		b := benches[i]
+		if _, err := cache.TrainProfileObs(context.Background(), b.Sources, b.Train, nil, rec); err != nil {
+			return fmt.Errorf("%s: %w", b.Name, err)
+		}
+		return nil
+	})
 }
 
 // compileAndRun builds one benchmark under the given options and times
@@ -101,7 +111,7 @@ func compileAndRun(b *specsuite.Benchmark, opts driver.Options, inputs []int64, 
 // refCell identifies one (benchmark, configuration, input-vector)
 // experiment cell. Benchmarks whose reference workload is a deck of
 // independent vectors (specsuite.Benchmark.RefVecs) get one cell per
-// vector so the scheduler can spread the deck across workers — the
+// vector so the worker pool can spread the deck across workers — the
 // monolithic m88ksim run was the straggler capping parallel speedup.
 // Cycles are summed per (benchmark, configuration) after the barrier;
 // the sum is byte-identical to running the deck sequentially in one
@@ -124,8 +134,7 @@ func refCells(benches []*specsuite.Benchmark, nConfigs int) []refCell {
 
 // cellLabel names a refCell's root span: "cell/<exp>/<bench>/<config>",
 // plus a "/v<i>" vector suffix only for benchmarks with a split deck
-// (single-vector labels stay byte-compatible with the cost history and
-// profiling docs).
+// (single-vector labels stay byte-compatible with the profiling docs).
 func cellLabel(exp string, b *specsuite.Benchmark, config string, vi int) string {
 	l := "cell/" + exp + "/" + b.Name + "/" + config
 	if len(b.RefVectors()) > 1 {
@@ -189,7 +198,7 @@ func Table1() ([]Table1Row, error) {
 	}
 	// The "p" and "cp" cells of one benchmark share a memoized training
 	// run; warming it in a dedicated phase gives training its own cell
-	// spans and starts the longest work first.
+	// spans.
 	if err := warmTrain("table1", benches); err != nil {
 		return nil, err
 	}

@@ -10,10 +10,13 @@
 //   - Results are indexed, not streamed: task i writes slot i of a
 //     caller-owned slice, so assembly order never depends on completion
 //     order. The first error by submission index wins.
-//   - Observability is per-task: DoObs hands every task a private
+//   - Observability is per-task: DoObsNamed hands every task a private
 //     *obs.Recorder and merges them into the parent in submission order
 //     after the barrier, so remark streams (and span structure) are
 //     identical under any worker count.
+//
+// Workers claim tasks in submission order; DESIGN.md ("Cell fan-out")
+// records the measurement behind not reordering them.
 package par
 
 import (
@@ -78,89 +81,20 @@ func Do(workers, n int, task func(i int) error) error {
 	return nil
 }
 
-// DoOrdered is Do with an explicit claim order: workers pick tasks up
-// in the sequence order[0], order[1], ... instead of submission order,
-// while result slots, recorder merging and error selection stay keyed
-// by submission index — the schedule moves wall-clock around, never
-// observable output. order must be a permutation of [0, n); nil means
-// submission order. Unlike Do, a single worker also follows the claim
-// order and still runs every task: the returned error is always the
-// lowest-submission-index failure, identical under any worker count.
-func DoOrdered(workers, n int, order []int, task func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if order == nil {
-		order = make([]int, n)
-		for i := range order {
-			order[i] = i
-		}
-	} else {
-		if len(order) != n {
-			panic("par: DoOrdered order is not a permutation of the task indices")
-		}
-		seen := make([]bool, n)
-		for _, i := range order {
-			if i < 0 || i >= n || seen[i] {
-				panic("par: DoOrdered order is not a permutation of the task indices")
-			}
-			seen[i] = true
-		}
-	}
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if workers > n {
-		workers = n
-	}
-	errs := make([]error, n)
-	if workers == 1 {
-		for _, i := range order {
-			errs[i] = task(i)
-		}
-	} else {
-		var next int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					p := int(atomic.AddInt64(&next, 1)) - 1
-					if p >= n {
-						return
-					}
-					i := order[p]
-					errs[i] = task(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DoObs is Do with ordered observability: when parent is enabled, every
-// task receives its own fresh recorder, and after all tasks complete the
-// per-task recorders are merged into parent in submission order (even if
-// some tasks failed, so partial traces stay inspectable). When parent is
-// nil the tasks get a nil recorder and pay nothing.
-func DoObs(workers int, parent *obs.Recorder, n int, task func(i int, rec *obs.Recorder) error) error {
-	return DoObsNamed(workers, parent, n, nil, task)
-}
-
-// DoObsNamed is DoObs with per-task root spans: when label is non-nil
-// (and parent enabled), task i runs inside a span named label(i) on its
-// private recorder. The span is the task's flight-record root — it
-// carries the cell's wall time, thread CPU, and allocation deltas, so
-// obs.TopSpans over the labels ranks stragglers and obs.Aggregate
-// attributes the whole fan-out's wall clock cell by cell. Labels must
-// be pure functions of i to preserve run-to-run determinism.
+// DoObsNamed is Do with ordered observability: when parent is enabled,
+// every task receives its own fresh recorder, and after all tasks
+// complete the per-task recorders are merged into parent in submission
+// order (even if some tasks failed, so partial traces stay
+// inspectable). When parent is nil the tasks get a nil recorder and pay
+// nothing.
+//
+// When label is non-nil (and parent enabled), task i runs inside a span
+// named label(i) on its private recorder. The span is the task's
+// flight-record root — it carries the cell's wall time, thread CPU, and
+// allocation deltas, so obs.TopSpans over the labels ranks stragglers
+// and obs.Aggregate attributes the whole fan-out's wall clock cell by
+// cell. Labels must be pure functions of i to preserve run-to-run
+// determinism.
 func DoObsNamed(workers int, parent *obs.Recorder, n int, label func(i int) string, task func(i int, rec *obs.Recorder) error) error {
 	if !parent.Enabled() {
 		return Do(workers, n, func(i int) error { return task(i, nil) })
@@ -170,33 +104,6 @@ func DoObsNamed(workers int, parent *obs.Recorder, n int, label func(i int) stri
 		recs[i] = obs.New()
 	}
 	err := Do(workers, n, func(i int) error {
-		if label == nil {
-			return task(i, recs[i])
-		}
-		t := recs[i].Begin(label(i))
-		defer t.End()
-		return task(i, recs[i])
-	})
-	for _, rec := range recs {
-		parent.Merge(rec)
-	}
-	return err
-}
-
-// DoObsNamedOrdered is DoObsNamed running on DoOrdered: tasks are
-// claimed in the given priority order (longest-expected-first
-// scheduling shrinks the tail of a barrier), while the per-task
-// recorders are still merged into parent by submission index, so the
-// flight record is byte-identical to an unordered or serial run's.
-func DoObsNamedOrdered(workers int, parent *obs.Recorder, n int, order []int, label func(i int) string, task func(i int, rec *obs.Recorder) error) error {
-	if !parent.Enabled() {
-		return DoOrdered(workers, n, order, func(i int) error { return task(i, nil) })
-	}
-	recs := make([]*obs.Recorder, n)
-	for i := range recs {
-		recs[i] = obs.New()
-	}
-	err := DoOrdered(workers, n, order, func(i int) error {
 		if label == nil {
 			return task(i, recs[i])
 		}

@@ -74,7 +74,7 @@ func TestDoObsMergesInSubmissionOrder(t *testing.T) {
 	}()
 	for _, workers := range []int{1, 2, 8} {
 		parent := obs.New()
-		err := DoObs(workers, parent, 16, func(i int, rec *obs.Recorder) error {
+		err := DoObsNamed(workers, parent, 16, nil, func(i int, rec *obs.Recorder) error {
 			rec.Remark(obs.Remark{Kind: "test", Site: int32(i)})
 			rec.Remark(obs.Remark{Kind: "test", Site: int32(i), Detail: "second"})
 			rec.Count("n", 1)
@@ -100,7 +100,7 @@ func TestDoObsMergesInSubmissionOrder(t *testing.T) {
 }
 
 func TestDoObsNilParentPassesNilRecorders(t *testing.T) {
-	err := DoObs(4, nil, 8, func(i int, rec *obs.Recorder) error {
+	err := DoObsNamed(4, nil, 8, nil, func(i int, rec *obs.Recorder) error {
 		if rec.Enabled() {
 			return errors.New("expected nil recorder")
 		}
@@ -114,7 +114,7 @@ func TestDoObsNilParentPassesNilRecorders(t *testing.T) {
 
 func TestDoObsMergesPartialTracesOnError(t *testing.T) {
 	parent := obs.New()
-	err := DoObs(4, parent, 8, func(i int, rec *obs.Recorder) error {
+	err := DoObsNamed(4, parent, 8, nil, func(i int, rec *obs.Recorder) error {
 		rec.Remark(obs.Remark{Kind: "test", Site: int32(i)})
 		if i == 2 {
 			return errors.New("fail")
@@ -155,140 +155,6 @@ func TestDoObsNamedWrapsTasksInLabeledSpans(t *testing.T) {
 			}
 			if root.Dur < inner.Dur {
 				t.Fatalf("workers=%d: root shorter than its child", workers)
-			}
-		}
-	}
-}
-
-func TestDoOrderedRunsEveryTaskAnyOrder(t *testing.T) {
-	n := 31
-	reversed := make([]int, n)
-	for i := range reversed {
-		reversed[i] = n - 1 - i
-	}
-	for _, workers := range []int{1, 2, 8, 0} {
-		for _, order := range [][]int{nil, reversed} {
-			hits := make([]int32, n)
-			if err := DoOrdered(workers, n, order, func(i int) error {
-				atomic.AddInt32(&hits[i], 1)
-				return nil
-			}); err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
-			}
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("workers=%d order=%v: task %d ran %d times", workers, order, i, h)
-				}
-			}
-		}
-	}
-}
-
-func TestDoOrderedSerialFollowsClaimOrder(t *testing.T) {
-	order := []int{3, 0, 4, 1, 2}
-	var ran []int
-	err := DoOrdered(1, 5, order, func(i int) error {
-		ran = append(ran, i)
-		if i == 4 {
-			return fmt.Errorf("task %d failed", i)
-		}
-		return nil
-	})
-	// One worker must execute in claim order AND keep going past the
-	// error so the reported error matches the parallel runs.
-	if len(ran) != 5 {
-		t.Fatalf("serial DoOrdered skipped tasks after an error: ran %v", ran)
-	}
-	for p, want := range order {
-		if ran[p] != want {
-			t.Fatalf("serial claim order %v, want %v", ran, order)
-		}
-	}
-	if err == nil || err.Error() != "task 4 failed" {
-		t.Fatalf("got %v, want task 4's error", err)
-	}
-}
-
-func TestDoOrderedErrorIsLowestSubmissionIndex(t *testing.T) {
-	// Claiming in reverse means task 23 fails long before task 7 is even
-	// started, but the reported error is still task 7's.
-	n := 30
-	reversed := make([]int, n)
-	for i := range reversed {
-		reversed[i] = n - 1 - i
-	}
-	for _, workers := range []int{1, 4, 8} {
-		err := DoOrdered(workers, n, reversed, func(i int) error {
-			if i == 7 || i == 23 {
-				return fmt.Errorf("task %d failed", i)
-			}
-			return nil
-		})
-		if err == nil || err.Error() != "task 7 failed" {
-			t.Fatalf("workers=%d: got %v, want task 7's error", workers, err)
-		}
-	}
-}
-
-func TestDoOrderedRejectsBadOrders(t *testing.T) {
-	bad := [][]int{
-		{0, 1},     // wrong length
-		{0, 1, 1},  // duplicate
-		{0, 1, 3},  // out of range
-		{-1, 0, 1}, // negative
-	}
-	for _, order := range bad {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("order %v: expected panic", order)
-				}
-			}()
-			_ = DoOrdered(2, 3, order, func(int) error { return nil })
-		}()
-	}
-}
-
-func TestDoObsNamedOrderedMergesInSubmissionOrder(t *testing.T) {
-	n := 16
-	reference := func() []obs.Remark {
-		parent := obs.New()
-		for i := 0; i < n; i++ {
-			parent.Remark(obs.Remark{Kind: "test", Site: int32(i)})
-		}
-		return parent.Remarks()
-	}()
-	reversed := make([]int, n)
-	for i := range reversed {
-		reversed[i] = n - 1 - i
-	}
-	for _, workers := range []int{1, 2, 8} {
-		parent := obs.New()
-		err := DoObsNamedOrdered(workers, parent, n, reversed, func(i int) string {
-			return fmt.Sprintf("cell/%d", i)
-		}, func(i int, rec *obs.Recorder) error {
-			rec.Remark(obs.Remark{Kind: "test", Site: int32(i)})
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		got := parent.Remarks()
-		if len(got) != len(reference) {
-			t.Fatalf("workers=%d: %d remarks, want %d", workers, len(got), len(reference))
-		}
-		for i := range got {
-			if got[i] != reference[i] {
-				t.Fatalf("workers=%d: remark %d = %+v, want %+v", workers, i, got[i], reference[i])
-			}
-		}
-		spans := parent.Spans()
-		if len(spans) != n {
-			t.Fatalf("workers=%d: %d spans, want %d", workers, len(spans), n)
-		}
-		for i, s := range spans {
-			if want := fmt.Sprintf("cell/%d", i); s.Name != want {
-				t.Fatalf("workers=%d: span %d named %q, want %q (merge must follow submission order, not claim order)", workers, i, s.Name, want)
 			}
 		}
 	}
