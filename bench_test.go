@@ -2,7 +2,10 @@
 // evaluation, plus ablation benches for the design choices DESIGN.md
 // calls out. Each benchmark reports the headline quantity of its
 // experiment as a custom metric, and logs the full rendered table under
-// -v so `go test -bench` doubles as the reproduction harness.
+// -v so `go test -bench` doubles as the reproduction harness. The
+// experiment benchmarks reset the experiments cache at the top of every
+// iteration, so each iteration is one cold regeneration, as one
+// hlobench run is, and cells/s never measures replayed simulations.
 package repro_test
 
 import (
@@ -57,6 +60,7 @@ func BenchmarkTable1(b *testing.B) {
 			var rows []experiments.Table1Row
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
+				experiments.ResetCache()
 				var err error
 				rows, err = experiments.Table1()
 				if err != nil {
@@ -96,6 +100,7 @@ func BenchmarkFigure6(b *testing.B) {
 			var rows []experiments.Figure6Row
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
+				experiments.ResetCache()
 				var err error
 				rows, err = experiments.Figure6()
 				if err != nil {
@@ -124,6 +129,7 @@ func BenchmarkFigure6(b *testing.B) {
 // inline-and-clone builds (the paper's most dramatic effect).
 func BenchmarkFigure7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		experiments.ResetCache()
 		rows, err := experiments.Figure7()
 		if err != nil {
 			b.Fatal(err)
@@ -150,6 +156,7 @@ func BenchmarkFigure7(b *testing.B) {
 // budget 100, i.e. how much of the win the default budget captures.
 func BenchmarkFigure8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		experiments.ResetCache()
 		points, err := experiments.Figure8(nil, 10)
 		if err != nil {
 			b.Fatal(err)

@@ -67,11 +67,7 @@ func main() {
 		if len(stragglers) > 0 {
 			fmt.Printf("\nstragglers (longest %q spans):\n", *cellPrefix)
 			for _, sp := range stragglers {
-				fmt.Printf("  %-44s %9.2fms", sp.Name, sp.Dur.Seconds()*1000)
-				if sp.CPU > 0 {
-					fmt.Printf("  cpu %9.2fms", sp.CPU.Seconds()*1000)
-				}
-				fmt.Println()
+				fmt.Printf("  %-44s %9.2fms\n", sp.Name, sp.Dur.Seconds()*1000)
 			}
 		}
 	}

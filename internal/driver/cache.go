@@ -5,44 +5,55 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/cas"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/memo"
 	"repro/internal/obs"
+	"repro/internal/pa8000"
 	"repro/internal/profile"
 )
 
-// Cache memoizes the configuration-independent stages of Compile: the
-// front end (parse, check, lower — identical for every scope and budget
-// of the same sources) and the training run (the instrumented build and
-// interpreter execution depend only on the sources and training inputs,
-// so the "p" and "cp" configurations of one benchmark can share it).
-// The experiment harness compiles every benchmark under many
+// Cache memoizes three deterministic stages of compiling and running:
+// the front end (parse, check, lower — identical for every scope and
+// budget of the same sources), the training run (the instrumented
+// build and interpreter execution depend only on the sources and
+// training inputs, so the "p" and "cp" configurations of one benchmark
+// can share it), and the simulation (Stats depend only on the linked
+// program, its inputs and the machine configuration, all digested by
+// pa8000.RunKey, so two option sets that link the same program share
+// one run). The experiment harness compiles every benchmark under many
 // configurations; with a cache the frontend and training work is done
-// once per benchmark instead of once per cell.
+// once per benchmark instead of once per cell, and each distinct run
+// is simulated once.
 //
-// Both stages run before HLO, so nothing that depends on HLO's options
-// is memoized here. The daemon's rendered responses live in the serve
-// layer, keyed on endpoint and request body (serve.respKey).
+// The front end and training run before HLO, so nothing that depends
+// on HLO's options is memoized there; the simulation is keyed on the
+// linked program itself, not on the options that built it. The
+// daemon's rendered responses live in the serve layer, keyed on
+// endpoint and request body (serve.respKey).
 //
 // Each stage is one memo.Group, so concurrent requesters of a key share
 // one fill, and a fill that dies of a context error is never kept.
 // Cached front-end output is pristine: every hit returns a fresh deep
 // copy (ir.Program.Clone), so concurrent compilations never share
-// mutable IR. Cached profile databases are shared without copying —
-// profile.Data.Attach only reads the database. A nil *Cache is valid
-// and disables memoization.
+// mutable IR. Cached Stats are never handed out either: every caller,
+// the filling one included, gets its own copy. Cached profile databases
+// are shared without copying — profile.Data.Attach only reads the
+// database. A nil *Cache is valid and disables memoization.
 //
 // Hits are observationally identical to misses apart from wall time and
 // flight-recorder attribution: the same pipeline spans are emitted, the
 // same compile-cost charges apply, and errors carry the same messages
-// (a cached permanent error is returned on every subsequent lookup).
-// The recorder deliberately sees the difference: misses emit
-// frontend/parse and train/run leaves, hits emit frontend/clone leaves
-// and cache.*.hit counters, so the attribution report can say what the
-// cache saved and what each hit's deep copy costs.
+// (a cached permanent error — a front-end error, a failed training
+// run, a simulation out of fuel, at a wild address or with static data
+// beyond memory — is returned on every subsequent lookup). The recorder deliberately sees the
+// difference: misses emit frontend/parse and train/run leaves, hits
+// emit frontend/clone and simulate/hit leaves and cache.*.hit counters,
+// so the attribution report can say what the cache saved and what each
+// hit's copy costs.
 // The training stage optionally carries a persistent tier (SetStore):
 // the content-addressed store shared by every daemon in a compile farm,
 // so a rebooted process warm-starts from profiles the farm already
@@ -50,6 +61,7 @@ import (
 type Cache struct {
 	frontends memo.Group[*ir.Program]
 	trains    memo.Group[*trainEntry]
+	sims      memo.Group[*pa8000.Stats]
 }
 
 // NewCache returns an empty cache.
@@ -57,6 +69,7 @@ func NewCache() *Cache {
 	return &Cache{
 		frontends: memo.Group[*ir.Program]{Retain: true},
 		trains:    memo.Group[*trainEntry]{Retain: true},
+		sims:      memo.Group[*pa8000.Stats]{Retain: true},
 	}
 }
 
@@ -223,4 +236,32 @@ func (c *Cache) train(ctx context.Context, sources []string, train []int64, extr
 	}
 	e.data = db
 	return e, nil
+}
+
+// simulate runs p on the machine model, or replays the memoized outcome
+// of a run with the same pa8000.RunKey. Every caller, the filling one
+// included, gets a private copy of the Stats, so no caller can alias
+// the stored entry. The returned hit flag says whether the outcome came
+// from another caller's run; a hit's copy runs inside a "simulate/hit"
+// span on rec. On a nil cache it simply runs the simulation.
+func (c *Cache) simulate(ctx context.Context, p *pa8000.Program, cfg pa8000.Config, inputs []int64, rec *obs.Recorder) (*pa8000.Stats, bool, error) {
+	if c == nil {
+		st, err := pa8000.RunCtx(ctx, p, cfg, inputs)
+		return st, false, err
+	}
+	st, ev, err := c.sims.Do(ctx, pa8000.RunKey(p, cfg, inputs), func(ctx context.Context) (*pa8000.Stats, error) {
+		return pa8000.RunCtx(ctx, p, cfg, inputs)
+	})
+	hit := ev&memo.Shared != 0
+	if err != nil {
+		return nil, hit, err
+	}
+	var sp obs.Timer
+	if hit {
+		sp = rec.Begin("simulate/hit")
+	}
+	cp := *st
+	cp.Output = slices.Clone(st.Output)
+	sp.End()
+	return &cp, hit, nil
 }

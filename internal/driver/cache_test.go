@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/driver"
 	"repro/internal/obs"
+	"repro/internal/pa8000"
 	"repro/internal/specsuite"
 )
 
@@ -15,15 +16,15 @@ import (
 // code size, run outcome, remark stream, and pipeline span structure.
 // The cache must be a pure wall-clock optimization — with one sanctioned
 // exception: the flight recorder's cache-attribution leaves
-// (frontend/parse, frontend/clone, train/run) deliberately reveal
-// whether a stage did real work or replayed a memoized result, and are
-// asserted separately.
+// (frontend/parse, frontend/clone, train/run, simulate/hit)
+// deliberately reveal whether a stage did real work or replayed a
+// memoized result, and are asserted separately.
 func TestCacheEquivalence(t *testing.T) {
 	b, err := specsuite.ByName("022.li")
 	if err != nil {
 		t.Fatal(err)
 	}
-	compile := func(cache *driver.Cache) (*driver.Compilation, []obs.Remark, []obs.Span, []int64) {
+	compile := func(cache *driver.Cache) (*driver.Compilation, []obs.Remark, []obs.Span, *pa8000.Stats) {
 		t.Helper()
 		rec := obs.New()
 		opts := driver.DefaultOptions(b.Train)
@@ -38,23 +39,23 @@ func TestCacheEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c, rec.Remarks(), rec.Spans(), st.Output
+		return c, rec.Remarks(), rec.Spans(), st
 	}
 
 	cache := driver.NewCache()
-	base, baseRemarks, baseSpans, baseOut := compile(nil)
-	cold, coldRemarks, coldSpans, coldOut := compile(cache)
-	warm, warmRemarks, warmSpans, warmOut := compile(cache)
+	base, baseRemarks, baseSpans, baseSim := compile(nil)
+	cold, coldRemarks, coldSpans, coldSim := compile(cache)
+	warm, warmRemarks, warmSpans, warmSim := compile(cache)
 
 	for _, tc := range []struct {
 		name string
 		c    *driver.Compilation
 		rm   []obs.Remark
 		sp   []obs.Span
-		out  []int64
+		sim  *pa8000.Stats
 	}{
-		{"cold cache", cold, coldRemarks, coldSpans, coldOut},
-		{"warm cache", warm, warmRemarks, warmSpans, warmOut},
+		{"cold cache", cold, coldRemarks, coldSpans, coldSim},
+		{"warm cache", warm, warmRemarks, warmSpans, warmSim},
 	} {
 		if tc.c.Stats != base.Stats {
 			t.Errorf("%s: Stats = %+v, want %+v", tc.name, tc.c.Stats, base.Stats)
@@ -65,8 +66,8 @@ func TestCacheEquivalence(t *testing.T) {
 		if tc.c.CodeSize != base.CodeSize {
 			t.Errorf("%s: CodeSize = %d, want %d", tc.name, tc.c.CodeSize, base.CodeSize)
 		}
-		if !reflect.DeepEqual(tc.out, baseOut) {
-			t.Errorf("%s: run output = %v, want %v", tc.name, tc.out, baseOut)
+		if !reflect.DeepEqual(tc.sim, baseSim) {
+			t.Errorf("%s: run = %+v, want %+v", tc.name, tc.sim, baseSim)
 		}
 		if !reflect.DeepEqual(tc.rm, baseRemarks) {
 			t.Errorf("%s: remark stream differs (%d vs %d remarks)", tc.name, len(tc.rm), len(baseRemarks))
@@ -88,7 +89,7 @@ func TestCacheEquivalence(t *testing.T) {
 	// Uncached: every stage parses for itself, nothing is cloned. Cold:
 	// one parse feeds both the frontend stage and the training build (the
 	// latter sees a hit and clones). Warm: no parse, no training run —
-	// clones only.
+	// clones only — and the simulation replays the cold run's.
 	count := func(spans []obs.Span, name string) int {
 		n := 0
 		for _, sp := range spans {
@@ -99,13 +100,13 @@ func TestCacheEquivalence(t *testing.T) {
 		return n
 	}
 	for _, check := range []struct {
-		name                     string
-		spans                    []obs.Span
-		parses, clones, trainRun int
+		name                              string
+		spans                             []obs.Span
+		parses, clones, trainRun, simHits int
 	}{
-		{"no cache", baseSpans, 2, 0, 2},
-		{"cold cache", coldSpans, 1, 2, 2},
-		{"warm cache", warmSpans, 0, 1, 0},
+		{"no cache", baseSpans, 2, 0, 2, 0},
+		{"cold cache", coldSpans, 1, 2, 2, 0},
+		{"warm cache", warmSpans, 0, 1, 0, 1},
 	} {
 		if got := count(check.spans, "frontend/parse"); got != check.parses {
 			t.Errorf("%s: %d frontend/parse spans, want %d", check.name, got, check.parses)
@@ -116,6 +117,9 @@ func TestCacheEquivalence(t *testing.T) {
 		if got := count(check.spans, "train/run"); got != check.trainRun {
 			t.Errorf("%s: %d train/run spans, want %d", check.name, got, check.trainRun)
 		}
+		if got := count(check.spans, "simulate/hit"); got != check.simHits {
+			t.Errorf("%s: %d simulate/hit spans, want %d", check.name, got, check.simHits)
+		}
 	}
 }
 
@@ -125,7 +129,7 @@ func pipelineSpans(spans []obs.Span) []obs.Span {
 	var out []obs.Span
 	for _, sp := range spans {
 		switch sp.Name {
-		case "frontend/parse", "frontend/clone", "train/run":
+		case "frontend/parse", "frontend/clone", "train/run", "simulate/hit":
 			continue
 		}
 		out = append(out, sp)
@@ -196,9 +200,9 @@ func TestCacheFrontendIsolation(t *testing.T) {
 	}
 }
 
-// TestCacheCounters pins the hit/miss accounting: the same three-run
-// sequence as TestCacheEquivalence, watched through the counter
-// registry instead of the span stream.
+// TestCacheCounters pins the hit/miss accounting: the same cold and
+// warm compile-and-run sequence as TestCacheEquivalence, watched
+// through the counter registry instead of the span stream.
 func TestCacheCounters(t *testing.T) {
 	b, err := specsuite.ByName("023.eqntott")
 	if err != nil {
@@ -210,7 +214,11 @@ func TestCacheCounters(t *testing.T) {
 		opts := driver.DefaultOptions(b.Train)
 		opts.Obs = rec
 		opts.Cache = cache
-		if _, err := driver.Compile(b.Sources, opts); err != nil {
+		c, err := driver.Compile(b.Sources, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Run(opts, b.Train); err != nil {
 			t.Fatal(err)
 		}
 		out := map[string]int64{}
@@ -225,6 +233,7 @@ func TestCacheCounters(t *testing.T) {
 	for name, want := range map[string]int64{
 		"cache.frontend.miss": 1, "cache.frontend.hit": 0,
 		"cache.train.miss": 1, "cache.train.hit": 0,
+		"cache.sim.miss": 1, "cache.sim.hit": 0,
 	} {
 		if cold[name] != want {
 			t.Errorf("cold: %s = %d, want %d", name, cold[name], want)
@@ -233,6 +242,7 @@ func TestCacheCounters(t *testing.T) {
 	for name, want := range map[string]int64{
 		"cache.frontend.miss": 0, "cache.frontend.hit": 1,
 		"cache.train.miss": 0, "cache.train.hit": 1,
+		"cache.sim.miss": 0, "cache.sim.hit": 1,
 	} {
 		if warm[name] != want {
 			t.Errorf("warm: %s = %d, want %d", name, warm[name], want)

@@ -52,7 +52,8 @@ type Options struct {
 	// pa8000.Stats. A nil recorder disables all recording at zero cost.
 	Obs *obs.Recorder
 	// Cache memoizes the front end and the training stage across
-	// compilations of the same sources (see Cache). nil disables caching.
+	// compilations of the same sources, and RunCtx's simulations of the
+	// same linked program (see Cache). nil disables caching.
 	Cache *Cache
 }
 
@@ -234,11 +235,15 @@ func (c *Compilation) Run(opts Options, inputs []int64) (*pa8000.Stats, error) {
 
 // RunCtx is Run with cancellation: the PA8000 model checks the context
 // at instruction-budget boundaries, so a canceled context stops a
-// simulation within a few thousand retired instructions.
+// simulation within a few thousand retired instructions. With
+// opts.Cache set, a run with the same linked program, inputs and
+// machine configuration as an earlier one replays its outcome (see
+// Cache).
 func (c *Compilation) RunCtx(ctx context.Context, opts Options, inputs []int64) (*pa8000.Stats, error) {
 	sp := opts.Obs.Begin("simulate")
-	st, err := pa8000.RunCtx(ctx, c.Machine, opts.Machine, inputs)
+	st, hit, err := opts.Cache.simulate(ctx, c.Machine, opts.Machine, inputs, opts.Obs)
 	sp.End()
+	countCache(opts.Obs, "cache.sim", hit)
 	if err == nil {
 		publishSimCounters(opts.Obs, st)
 	}

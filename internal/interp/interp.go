@@ -71,7 +71,10 @@ func RunCtx(ctx context.Context, p *ir.Program, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := newMachine(p, opts)
+	m, err := newMachine(p, opts)
+	if err != nil {
+		return nil, err
+	}
 	// The machine's memory and arena go back to the pool on every exit;
 	// nothing in a Result aliases them.
 	defer putState(m.st)
@@ -141,10 +144,21 @@ type machine struct {
 // that stray integers rarely alias a valid function.
 const funcIDBase = int64(1) << 40
 
-func newMachine(p *ir.Program, opts Options) *machine {
+func newMachine(p *ir.Program, opts Options) (*machine, error) {
 	memSize := opts.MemSize
 	if memSize == 0 {
 		memSize = DefaultMemSize
+	}
+	// Globals are laid out from address 16; the stack grows down from
+	// the top of memory.
+	end := int64(16)
+	for _, mod := range p.Modules {
+		for _, g := range mod.Globals {
+			end += g.Size
+		}
+	}
+	if end > memSize {
+		return nil, fmt.Errorf("interp: globals end at address %d, beyond memory of %d words", end, memSize)
 	}
 	fuel := opts.Fuel
 	if fuel == 0 {
@@ -207,7 +221,7 @@ func newMachine(p *ir.Program, opts Options) *machine {
 	if opts.Profile {
 		m.prof = make(map[string][]int64)
 	}
-	return m
+	return m, nil
 }
 
 func (m *machine) stepsUsed() int64 { return m.fuel0 - m.fuel }

@@ -91,6 +91,21 @@ func main() int {
 	}
 }
 
+// TestGlobalsBeyondMemory: globals that do not fit in memory are an
+// error, not a panic while the machine lays them out.
+func TestGlobalsBeyondMemory(t *testing.T) {
+	p := testutil.MustBuild(t, `
+module m;
+var big [5000000] int;
+var x int = 7;
+func main() int { return x; }
+`)
+	_, err := interp.Run(p, interp.Options{Profile: true})
+	if err == nil || !strings.Contains(err.Error(), "beyond memory") {
+		t.Errorf("err = %v, want globals-beyond-memory", err)
+	}
+}
+
 func TestStackOverflowDetected(t *testing.T) {
 	p := testutil.MustBuild(t, `
 module main;

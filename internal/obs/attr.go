@@ -12,15 +12,14 @@ import (
 // PhaseStat is the aggregate of every span sharing one name: the
 // "where does the time go" row. Wall is cumulative (includes time spent
 // in child spans); Self is Wall minus the wall time of direct children,
-// i.e. the time this phase spent doing its own work. CPU and the
-// allocation counters are cumulative too (a phase's children rarely
-// share its name, so in practice they read as per-phase).
+// i.e. the time this phase spent doing its own work. The allocation
+// counters are cumulative too (a phase's children rarely share its
+// name, so in practice they read as per-phase).
 type PhaseStat struct {
 	Name       string        `json:"name"`
 	Count      int           `json:"count"`
 	Wall       time.Duration `json:"wall_ns"`
 	Self       time.Duration `json:"self_ns"`
-	CPU        time.Duration `json:"cpu_ns"`
 	AllocBytes int64         `json:"alloc_bytes"`
 	Allocs     int64         `json:"allocs"`
 }
@@ -89,7 +88,6 @@ func Aggregate(spans []Span) *Attribution {
 		}
 		st.Count++
 		st.Wall += sp.Dur
-		st.CPU += sp.CPU
 		st.AllocBytes += sp.AllocBytes
 		st.Allocs += sp.Allocs
 	}
@@ -178,8 +176,8 @@ func TopSpans(spans []Span, prefix string, n int) []Span {
 
 // WriteAttribution renders the report as a sorted text table:
 //
-//	phase                          count      wall      self  self%       cpu    allocs     bytes
-//	hlo/pass1/inline                  56   912.4ms   903.1ms  41.2%   899.7ms    123456    45.2MB
+//	phase                          count      wall      self  self%    allocs     bytes
+//	hlo/pass1/inline                  56   912.4ms   903.1ms  41.2%    123456    45.2MB
 //	...
 //	(unattributed in roots)                          110.2ms   5.0%
 //	total                                  2191.8ms                  coverage 95.0%
@@ -191,8 +189,8 @@ func WriteAttribution(w io.Writer, a *Attribution) error {
 			width = len(st.Name)
 		}
 	}
-	fmt.Fprintf(bw, "%-*s %6s %10s %10s %6s %10s %9s %9s\n",
-		width, "phase", "count", "wall", "self", "self%", "cpu", "allocs", "bytes")
+	fmt.Fprintf(bw, "%-*s %6s %10s %10s %6s %9s %9s\n",
+		width, "phase", "count", "wall", "self", "self%", "allocs", "bytes")
 	pct := func(d time.Duration) float64 {
 		if a.Total <= 0 {
 			return 0
@@ -200,10 +198,10 @@ func WriteAttribution(w io.Writer, a *Attribution) error {
 		return 100 * float64(d) / float64(a.Total)
 	}
 	for _, st := range a.Phases {
-		fmt.Fprintf(bw, "%-*s %6d %9.2fms %9.2fms %5.1f%% %9.2fms %9d %9s\n",
+		fmt.Fprintf(bw, "%-*s %6d %9.2fms %9.2fms %5.1f%% %9d %9s\n",
 			width, st.Name, st.Count,
 			st.Wall.Seconds()*1000, st.Self.Seconds()*1000, pct(st.Self),
-			st.CPU.Seconds()*1000, st.Allocs, sizeBytes(st.AllocBytes))
+			st.Allocs, sizeBytes(st.AllocBytes))
 	}
 	fmt.Fprintf(bw, "%-*s %6s %10s %9.2fms %5.1f%%\n",
 		width, "(unattributed in roots)", "", "", a.RootSelf.Seconds()*1000, pct(a.RootSelf))

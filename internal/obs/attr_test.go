@@ -16,12 +16,12 @@ import (
 func sampleSpans() []obs.Span {
 	ms := func(n int64) time.Duration { return time.Duration(n) * time.Millisecond }
 	return []obs.Span{
-		{Name: "cell/a", Depth: 0, Start: 0, Dur: ms(100), CPU: ms(90), AllocBytes: 1000, Allocs: 10},
-		{Name: "frontend", Depth: 1, Start: int64(ms(5)), Dur: ms(20), CPU: ms(18), AllocBytes: 400, Allocs: 4},
-		{Name: "hlo", Depth: 1, Start: int64(ms(25)), Dur: ms(70), CPU: ms(65), AllocBytes: 500, Allocs: 5},
-		{Name: "hlo/inline", Depth: 2, Start: int64(ms(30)), Dur: ms(40), CPU: ms(38), AllocBytes: 300, Allocs: 3},
-		{Name: "cell/b", Depth: 0, Start: int64(ms(100)), Dur: ms(50), CPU: ms(45)},
-		{Name: "frontend", Depth: 1, Start: int64(ms(100)), Dur: ms(45), CPU: ms(40)},
+		{Name: "cell/a", Depth: 0, Start: 0, Dur: ms(100), AllocBytes: 1000, Allocs: 10},
+		{Name: "frontend", Depth: 1, Start: int64(ms(5)), Dur: ms(20), AllocBytes: 400, Allocs: 4},
+		{Name: "hlo", Depth: 1, Start: int64(ms(25)), Dur: ms(70), AllocBytes: 500, Allocs: 5},
+		{Name: "hlo/inline", Depth: 2, Start: int64(ms(30)), Dur: ms(40), AllocBytes: 300, Allocs: 3},
+		{Name: "cell/b", Depth: 0, Start: int64(ms(100)), Dur: ms(50)},
+		{Name: "frontend", Depth: 1, Start: int64(ms(100)), Dur: ms(45)},
 	}
 }
 
@@ -49,8 +49,8 @@ func TestAggregate(t *testing.T) {
 	if hlo.Count != 1 || hlo.Wall != 70*time.Millisecond || hlo.Self != 30*time.Millisecond {
 		t.Errorf("hlo stat = %+v (want wall 70ms, self 30ms)", hlo)
 	}
-	if byName["cell/a"].AllocBytes != 1000 || byName["hlo/inline"].CPU != 38*time.Millisecond {
-		t.Error("CPU/alloc columns not carried into the aggregate")
+	if byName["cell/a"].AllocBytes != 1000 || byName["hlo/inline"].Allocs != 3 {
+		t.Error("alloc columns not carried into the aggregate")
 	}
 	// Sorted by self descending: frontend (65) first.
 	if a.Phases[0].Name != "frontend" {
@@ -157,8 +157,8 @@ func TestSpansJSONLRoundTrip(t *testing.T) {
 }
 
 // TestRecorderMeasuresResources pins the live-measurement plumbing: a
-// span that burns CPU and allocates must record positive deltas and a
-// start offset, and must come back closed.
+// span that runs and allocates must record a positive duration and
+// allocation deltas and a start offset, and must come back closed.
 func TestRecorderMeasuresResources(t *testing.T) {
 	r := obs.New()
 	tm := r.Begin("work")
@@ -184,9 +184,6 @@ func TestRecorderMeasuresResources(t *testing.T) {
 	}
 	if sp.Allocs <= 0 {
 		t.Errorf("Allocs = %d, want > 0", sp.Allocs)
-	}
-	if sp.CPU < 0 {
-		t.Errorf("CPU = %v, want >= 0", sp.CPU)
 	}
 }
 

@@ -48,12 +48,11 @@ type Remark struct {
 // Wall time (Start, Dur) places the span on the process timeline; Start
 // is nanoseconds since a process-wide epoch, so spans merged from many
 // recorders stay mutually ordered (the Chrome trace exporter relies on
-// this). CPU is the span's thread-CPU delta: exact for a span that ran
-// on one OS thread (the common case — pipeline phases are CPU-bound
-// between preemption points), an approximation when the goroutine
-// migrated mid-span. AllocBytes/Allocs are process-wide heap-allocation
-// deltas between Begin and End: exact attribution in a serial run, an
-// upper bound when other goroutines allocate concurrently.
+// this). AllocBytes/Allocs are process-wide heap-allocation deltas
+// between Begin and End: exact attribution in a serial run, an upper
+// bound when other goroutines allocate concurrently. Spans carry no CPU
+// time: Go has no per-goroutine CPU clock, and a thread clock read at
+// Begin and End is wrong whenever the goroutine changes OS thread.
 //
 // Open marks a span whose End never ran — an in-flight phase captured
 // by Spans() or flushed at shutdown. An open span's Dur is zero and
@@ -64,7 +63,6 @@ type Span struct {
 	Depth      int           `json:"depth"`              // nesting level at Begin time
 	Start      int64         `json:"start_ns,omitempty"` // ns since the process epoch
 	Dur        time.Duration `json:"dur_ns"`
-	CPU        time.Duration `json:"cpu_ns,omitempty"`      // thread CPU time consumed
 	AllocBytes int64         `json:"alloc_bytes,omitempty"` // heap bytes allocated (process-wide delta)
 	Allocs     int64         `json:"allocs,omitempty"`      // heap objects allocated (process-wide delta)
 	Open       bool          `json:"open,omitempty"`        // never ended (truncated / in flight)
@@ -132,7 +130,6 @@ type Timer struct {
 	r      *Recorder
 	idx    int
 	start  time.Time
-	cpu0   time.Duration
 	bytes0 int64
 	objs0  int64
 }
@@ -161,28 +158,23 @@ func (r *Recorder) BeginSized(name string, sizeBefore int, costBefore int64) Tim
 	})
 	r.depth++
 	r.mu.Unlock()
-	return Timer{r: r, idx: idx, start: time.Now(), cpu0: cpuNow(), bytes0: bytes0, objs0: objs0}
+	return Timer{r: r, idx: idx, start: time.Now(), bytes0: bytes0, objs0: objs0}
 }
 
 // End closes the span.
 func (t Timer) End() { t.EndSized(0, 0) }
 
 // EndSized closes the span and records the exit size and cost plus the
-// CPU and allocation deltas since Begin.
+// allocation deltas since Begin.
 func (t Timer) EndSized(sizeAfter int, costAfter int64) {
 	if t.r == nil {
 		return
 	}
 	d := time.Since(t.start)
-	cpu := cpuNow() - t.cpu0
-	if cpu < 0 {
-		cpu = 0 // the goroutine migrated to a younger OS thread mid-span
-	}
 	bytes1, objs1 := readHeapAllocs()
 	t.r.mu.Lock()
 	sp := &t.r.spans[t.idx]
 	sp.Dur = d
-	sp.CPU = cpu
 	sp.AllocBytes = bytes1 - t.bytes0
 	sp.Allocs = objs1 - t.objs0
 	sp.Open = false

@@ -17,7 +17,7 @@ func BenchmarkSpanNil(b *testing.B) {
 }
 
 // BenchmarkSpanEnabled measures the enabled path: one Begin/End pair
-// including the CPU-time and heap-allocation samples. The per-span cost
+// including the heap-allocation samples. The per-span cost
 // bounds recording overhead: a Table 1 run emits a few thousand spans
 // over tens of seconds, so microseconds per span keeps the total well
 // under the 3% budget (the end-to-end number lives in PROFILE.md).

@@ -104,9 +104,6 @@ func WriteTrace(w io.Writer, spans []Span) error {
 		if sp.Open {
 			bw.WriteString(" (open)")
 		}
-		if sp.CPU != 0 {
-			fmt.Fprintf(bw, "  cpu %.2fms", sp.CPU.Seconds()*1000)
-		}
 		if sp.SizeBefore != 0 || sp.SizeAfter != 0 {
 			fmt.Fprintf(bw, "  size %d -> %d", sp.SizeBefore, sp.SizeAfter)
 		}

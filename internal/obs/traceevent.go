@@ -101,9 +101,6 @@ func WriteTraceEvents(w io.Writer, spans []Span) error {
 // encoding/json sorts map keys, so the output is deterministic.
 func spanArgs(sp *Span) map[string]any {
 	args := map[string]any{}
-	if sp.CPU != 0 {
-		args["cpu_ms"] = float64(sp.CPU.Nanoseconds()) / 1e6
-	}
 	if sp.AllocBytes != 0 {
 		args["alloc_bytes"] = sp.AllocBytes
 	}

@@ -20,7 +20,7 @@ func TestWriteTraceEventsGolden(t *testing.T) {
 	spans := []obs.Span{
 		{Name: "cell/a", Depth: 0, Start: 0, Dur: ms(100)},
 		{Name: "frontend", Depth: 1, Start: int64(ms(5)), Dur: ms(20), SizeBefore: 10, SizeAfter: 20},
-		{Name: "cell/b", Depth: 0, Start: int64(ms(100)), Dur: ms(50), CPU: ms(45)},
+		{Name: "cell/b", Depth: 0, Start: int64(ms(100)), Dur: ms(50), Allocs: 45},
 		{Name: "inflight", Depth: 0, Start: int64(ms(120)), Open: true},
 	}
 	var buf bytes.Buffer
@@ -30,7 +30,7 @@ func TestWriteTraceEventsGolden(t *testing.T) {
 	want := `{"displayTimeUnit":"ms","traceEvents":[
 {"name":"cell/a","ph":"X","pid":1,"tid":0,"ts":0,"dur":100000},
 {"name":"frontend","ph":"X","pid":1,"tid":0,"ts":5000,"dur":20000,"args":{"size":"10 -> 20"}},
-{"name":"cell/b","ph":"X","pid":1,"tid":0,"ts":100000,"dur":50000,"args":{"cpu_ms":45}},
+{"name":"cell/b","ph":"X","pid":1,"tid":0,"ts":100000,"dur":50000,"args":{"allocs":45}},
 {"name":"inflight","ph":"B","pid":1,"tid":1,"ts":120000,"args":{"truncated":true}}
 ]}
 `

@@ -359,3 +359,20 @@ func BenchmarkDispatchPredecoded(b *testing.B) {
 func BenchmarkDispatchReference(b *testing.B) {
 	benchmarkDispatch(b, RunReference)
 }
+
+// TestStaticDataBeyondMemory: a program whose static data does not fit
+// in memory fails with one error from both engines, rather than
+// panicking as either engine copies its initial values.
+func TestStaticDataBeyondMemory(t *testing.T) {
+	cfg := Config{MemWords: 1 << 12}
+	code := []MInstr{{Op: MHalt}}
+	for name, p := range map[string]*Program{
+		"data length": {Code: code, DataLen: 5000, InitData: []DataInit{{Addr: 4999, Vals: []int64{7}}}},
+		"data range":  {Code: code, DataLen: 20, InitData: []DataInit{{Addr: 4095, Vals: []int64{1, 2}}}},
+	} {
+		runBoth(t, name, p, cfg, nil)
+		if _, err := Run(p, cfg, nil); err == nil {
+			t.Errorf("%s: ran to completion", name)
+		}
+	}
+}

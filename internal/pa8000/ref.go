@@ -28,6 +28,9 @@ func RunReferenceCtx(ctx context.Context, p *Program, cfg Config, inputs []int64
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("pa8000: canceled before start: %w", err)
 	}
+	if err := checkData(p, cfg); err != nil {
+		return nil, err
+	}
 	return runReference(ctx, p, cfg, inputs)
 }
 

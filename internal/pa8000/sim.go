@@ -2,6 +2,8 @@ package pa8000
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -143,10 +145,86 @@ func RunCtx(ctx context.Context, p *Program, cfg Config, inputs []int64) (*Stats
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("pa8000: canceled before start: %w", err)
 	}
+	if err := checkData(p, cfg); err != nil {
+		return nil, err
+	}
 	if referenceEngine.Load() {
 		return runReference(ctx, p, cfg, inputs)
 	}
 	return runEngine(ctx, p, cfg, inputs)
+}
+
+// checkData rejects static data that does not fit in the machine's
+// memory, before either engine copies it there. Both engines call it,
+// so they fail with the same message.
+func checkData(p *Program, cfg Config) error {
+	mem := cfg.withDefaults().MemWords
+	if p.DataLen > mem {
+		return fmt.Errorf("pa8000: static data of %d words exceeds memory of %d words", p.DataLen, mem)
+	}
+	for _, di := range p.InitData {
+		if di.Addr < 0 || di.Addr+int64(len(di.Vals)) > mem {
+			return fmt.Errorf("pa8000: initialized data at [%d, %d) outside memory of %d words",
+				di.Addr, di.Addr+int64(len(di.Vals)), mem)
+		}
+	}
+	return nil
+}
+
+// RunKey digests everything a run of p on cfg with inputs reads: the
+// code (every MInstr field), the entry point, the static data size and
+// initial values, the inputs, and cfg with its defaults applied, each
+// variable-length part length-prefixed. Runs with one key end with
+// equal Stats or the same error, whichever engine runs them, so a
+// caller may memoize a run on its key. FuncAddr, GlobalAddr and
+// FuncOfAddr are left out: neither engine reads them.
+func RunKey(p *Program, cfg Config, inputs []int64) string {
+	h := sha256.New()
+	buf := make([]byte, 0, 4096)
+	put := func(v int64) {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+		if len(buf) >= 4096 {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+	}
+	putBytes := func(s string) {
+		put(int64(len(s)))
+		buf = append(buf, s...)
+	}
+	c := cfg.withDefaults()
+	for _, v := range [...]int64{
+		int64(c.ICacheBytes), int64(c.ICacheLine), int64(c.ICacheAssoc),
+		int64(c.DCacheBytes), int64(c.DCacheLine), int64(c.DCacheAssoc),
+		c.MissPenalty, c.MispredictPenalty, int64(c.BHTEntries), int64(c.IssueWidth),
+		c.MemWords, c.Fuel,
+	} {
+		put(v)
+	}
+	put(int64(len(p.Code)))
+	for i := range p.Code {
+		in := &p.Code[i]
+		put(int64(in.Op)<<24 | int64(in.Rd)<<16 | int64(in.Rs)<<8 | int64(in.Rt))
+		put(in.Imm)
+		put(int64(in.Target))
+		putBytes(in.Sym)
+	}
+	put(int64(p.Entry))
+	put(p.DataLen)
+	put(int64(len(p.InitData)))
+	for _, di := range p.InitData {
+		put(di.Addr)
+		put(int64(len(di.Vals)))
+		for _, v := range di.Vals {
+			put(v)
+		}
+	}
+	put(int64(len(inputs)))
+	for _, v := range inputs {
+		put(v)
+	}
+	h.Write(buf)
+	return string(h.Sum(nil))
 }
 
 // depInfo extracts the registers read and written for the pairing check.

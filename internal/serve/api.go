@@ -105,7 +105,7 @@ type CompileRequest struct {
 	// Remarks asks for the optimization-remark stream in the response.
 	Remarks bool `json:"remarks,omitempty"`
 	// Spans asks for the aggregated per-phase attribution of this
-	// request (wall/self/CPU/alloc per pipeline phase) in the response.
+	// request (wall/self/alloc per pipeline phase) in the response.
 	Spans bool `json:"spans,omitempty"`
 	// Tag is a client-chosen workload label (benchmark name, experiment
 	// cell). It becomes a runtime/pprof label on the executing
