@@ -184,7 +184,7 @@ func (h *hlo) skippedFunc(f *ir.Func) bool { return h.skip != nil && h.skip[f] }
 // clean only when its Optimize converged and was not rolled back.
 func (h *hlo) optimizeGuarded(f *ir.Func, pure opt.Purity) {
 	if h.opts.FailPolicy == resilience.FailAbort {
-		h.dirty[f] = !opt.Optimize(f, pure)
+		h.dirty[f] = !opt.Optimize(f, pure, &h.optWork)
 		return
 	}
 	if h.skippedFunc(f) {
@@ -194,7 +194,7 @@ func (h *hlo) optimizeGuarded(f *ir.Func, pure opt.Purity) {
 	outcome := h.guardMutation(obs.Remark{Kind: RemarkOpt, Caller: f.QName}, []*ir.Func{f},
 		func() ([]*ir.Func, string, error) {
 			ptOpt.Inject()
-			converged = opt.Optimize(f, pure)
+			converged = opt.Optimize(f, pure, &h.optWork)
 			return nil, "optimize " + f.QName, nil
 		})
 	if outcome == fwOK && converged {

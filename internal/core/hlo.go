@@ -66,6 +66,9 @@ type hlo struct {
 	// functions and the clean ones it passed over, published as
 	// hlo.reopt.runs / hlo.reopt.skipped.
 	reoptRuns, reoptSkipped int64
+	// optWork sums every opt.Optimize's work counts, published as
+	// hlo.opt.rounds / hlo.opt.cp.visits / hlo.opt.cp.cells.
+	optWork opt.Work
 }
 
 // Run applies HLO to the program under the given scope and options and
@@ -278,8 +281,11 @@ func (h *hlo) checkMutation(what string, funcs ...*ir.Func) {
 // spans spent on full-scope Σ size² and size walks, hlo.verify-ns /
 // hlo.verify-count time the per-mutation verifier (VerifyEach), and
 // hlo.reopt.runs / hlo.reopt.skipped count the dirty functions
-// reoptimize visited and the clean ones it skipped. The split answers
-// "is the inliner slow, or is it our bookkeeping?".
+// reoptimize visited and the clean ones it skipped, and hlo.opt.rounds /
+// hlo.opt.cp.visits / hlo.opt.cp.cells count the scalar pipeline's
+// rounds, ConstProp's block visits and the register cells it met on CFG
+// edges. The split answers "is the inliner slow, or is it our
+// bookkeeping?".
 func (h *hlo) publishCostCounters() {
 	if h.rec == nil {
 		return
@@ -287,6 +293,9 @@ func (h *hlo) publishCostCounters() {
 	h.rec.Count("hlo.bookkeeping-ns", h.bookkeepNS)
 	h.rec.Count("hlo.reopt.runs", h.reoptRuns)
 	h.rec.Count("hlo.reopt.skipped", h.reoptSkipped)
+	h.rec.Count("hlo.opt.rounds", h.optWork.Rounds)
+	h.rec.Count("hlo.opt.cp.visits", h.optWork.CPVisits)
+	h.rec.Count("hlo.opt.cp.cells", h.optWork.CPCells)
 	if h.opts.VerifyEach {
 		h.rec.Count("hlo.verify-ns", h.verifyNS)
 		h.rec.Count("hlo.verify-count", h.verifyCount)

@@ -26,7 +26,9 @@ func main() int {
 // walks), and with VerifyEach also hlo.verify-ns/hlo.verify-count —
 // one verification per function touched by an accepted mutation. A
 // 022.li peak build publishes the re-optimization work counts
-// hlo.reopt.runs/hlo.reopt.skipped: both nonzero, and deterministic.
+// hlo.reopt.runs/hlo.reopt.skipped and the scalar optimizer's
+// hlo.opt.rounds/hlo.opt.cp.visits/hlo.opt.cp.cells: all nonzero, and
+// deterministic.
 func TestHLOOverheadCounters(t *testing.T) {
 	run := func(verifyEach bool) map[string]int64 {
 		t.Helper()
@@ -84,7 +86,7 @@ func TestHLOOverheadCounters(t *testing.T) {
 		return out
 	}
 	first, second := peak(), peak()
-	for _, name := range []string{"hlo.reopt.runs", "hlo.reopt.skipped"} {
+	for _, name := range []string{"hlo.reopt.runs", "hlo.reopt.skipped", "hlo.opt.rounds", "hlo.opt.cp.visits", "hlo.opt.cp.cells"} {
 		if first[name] <= 0 {
 			t.Errorf("022.li peak: %s = %d, want > 0", name, first[name])
 		}
@@ -92,5 +94,6 @@ func TestHLOOverheadCounters(t *testing.T) {
 			t.Errorf("022.li peak: %s = %d then %d, want a deterministic count", name, first[name], second[name])
 		}
 	}
-	t.Logf("022.li peak: hlo.reopt.runs = %d, hlo.reopt.skipped = %d", first["hlo.reopt.runs"], first["hlo.reopt.skipped"])
+	t.Logf("022.li peak: hlo.reopt.runs = %d, hlo.reopt.skipped = %d, hlo.opt.rounds = %d, hlo.opt.cp.visits = %d, hlo.opt.cp.cells = %d",
+		first["hlo.reopt.runs"], first["hlo.reopt.skipped"], first["hlo.opt.rounds"], first["hlo.opt.cp.visits"], first["hlo.opt.cp.cells"])
 }

@@ -28,14 +28,14 @@ func TestReoptimizeFinishesUnconvergedFunction(t *testing.T) {
 	src.WriteString("\treturn g;\n}\n")
 	p := testutil.MustBuild(t, src.String())
 	probe := p.Func("main:main").Clone("main:main")
-	if opt.Optimize(probe, nil) || opt.Optimize(probe, nil) {
+	if opt.Optimize(probe, nil, nil) || opt.Optimize(probe, nil, nil) {
 		t.Fatal("main converges within two Optimize calls: the input stages alone finish it")
 	}
 
 	core.Run(p, core.WholeProgram(), core.DefaultOptions())
 	f := p.Func("main:main")
 	before := f.String()
-	if !opt.Optimize(f, nil) || f.String() != before {
+	if !opt.Optimize(f, nil, nil) || f.String() != before {
 		t.Errorf("HLO left main short of Optimize's fixpoint:\n%s\none more Optimize gives:\n%s", before, f)
 	}
 }

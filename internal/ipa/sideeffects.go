@@ -70,18 +70,20 @@ func acyclicCFG(f *ir.Func) bool {
 	state := make([]uint8, len(f.Blocks))
 	type frame struct {
 		b     int
-		succs []int
-		i     int
+		succs [2]int
+		n, i  int
 	}
 	var stack []frame
 	push := func(b int) {
 		state[b] = active
-		stack = append(stack, frame{b: b, succs: f.Blocks[b].Succs()})
+		fr := frame{b: b}
+		fr.succs, fr.n = f.Blocks[b].Succs()
+		stack = append(stack, fr)
 	}
 	push(0)
 	for len(stack) > 0 {
 		fr := &stack[len(stack)-1]
-		if fr.i < len(fr.succs) {
+		if fr.i < fr.n {
 			s := fr.succs[fr.i]
 			fr.i++
 			switch state[s] {

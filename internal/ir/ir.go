@@ -293,22 +293,25 @@ func (b *Block) Term() *Instr {
 	return nil
 }
 
-// Succs returns the successor block indices of b.
-func (b *Block) Succs() []int {
+// Succs returns the successor block indices of b as s[:n], Then before
+// Else, without allocating: callers range over s[:n].
+func (b *Block) Succs() (s [2]int, n int) {
 	t := b.Term()
 	if t == nil {
-		return nil
+		return s, 0
 	}
 	switch t.Op {
 	case Br:
+		s[0], s[1] = t.Then, t.Else
 		if t.Then == t.Else {
-			return []int{t.Then}
+			return s, 1
 		}
-		return []int{t.Then, t.Else}
+		return s, 2
 	case Jmp:
-		return []int{t.Then}
+		s[0] = t.Then
+		return s, 1
 	}
-	return nil
+	return s, 0
 }
 
 // Clone returns a deep copy of the block.
@@ -401,17 +404,6 @@ func (f *Func) Clone(qname string) *Func {
 		nf.Blocks[i] = b.Clone()
 	}
 	return &nf
-}
-
-// Preds computes the predecessor lists for every block.
-func (f *Func) Preds() [][]int {
-	preds := make([][]int, len(f.Blocks))
-	for _, b := range f.Blocks {
-		for _, s := range b.Succs() {
-			preds[s] = append(preds[s], b.Index)
-		}
-	}
-	return preds
 }
 
 // Renumber re-assigns Block.Index fields to match slice positions.

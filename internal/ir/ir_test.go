@@ -267,16 +267,34 @@ func TestInstrUsesAndOperands(t *testing.T) {
 
 func TestBlockSuccs(t *testing.T) {
 	br := &Block{Instrs: []Instr{{Op: Br, A: RegOp(0), Then: 1, Else: 2}}}
-	if s := br.Succs(); len(s) != 2 || s[0] != 1 || s[1] != 2 {
-		t.Errorf("br succs = %v", s)
+	if s, n := br.Succs(); n != 2 || s[0] != 1 || s[1] != 2 {
+		t.Errorf("br succs = %v", s[:n])
 	}
 	brSame := &Block{Instrs: []Instr{{Op: Br, A: RegOp(0), Then: 3, Else: 3}}}
-	if s := brSame.Succs(); len(s) != 1 || s[0] != 3 {
-		t.Errorf("degenerate br succs = %v", s)
+	if s, n := brSame.Succs(); n != 1 || s[0] != 3 {
+		t.Errorf("degenerate br succs = %v", s[:n])
 	}
 	ret := &Block{Instrs: []Instr{{Op: Ret, A: ConstOp(0)}}}
-	if s := ret.Succs(); len(s) != 0 {
-		t.Errorf("ret succs = %v", s)
+	if s, n := ret.Succs(); n != 0 {
+		t.Errorf("ret succs = %v", s[:n])
+	}
+
+	// Walking every successor of a function allocates nothing.
+	f := &Func{Blocks: []*Block{
+		{Index: 0, Instrs: []Instr{{Op: Jmp, Then: 1}}},
+		br, brSame, ret,
+	}}
+	edges := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		edges = 0
+		for _, b := range f.Blocks {
+			ss, n := b.Succs()
+			for range ss[:n] {
+				edges++
+			}
+		}
+	}); allocs != 0 || edges != 4 {
+		t.Errorf("successor walk: %v allocs, %d edges; want 0 allocs, 4 edges", allocs, edges)
 	}
 }
 

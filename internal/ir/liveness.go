@@ -75,7 +75,8 @@ func Liveness(f *Func) (liveIn, liveOut []RegSet) {
 		for bi := len(f.Blocks) - 1; bi >= 0; bi-- {
 			b := f.Blocks[bi]
 			out := liveOut[bi]
-			for _, s := range b.Succs() {
+			ss, n := b.Succs()
+			for _, s := range ss[:n] {
 				if out.UnionInto(liveIn[s]) {
 					changed = true
 				}

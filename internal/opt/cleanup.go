@@ -72,8 +72,20 @@ func threadJumps(f *ir.Func) bool {
 
 // mergeChains merges a block into its unique successor when that
 // successor has no other predecessors (straight-line concatenation).
+//
+// Predecessor counts are taken once: a merge leaves every other count
+// as it was. succ's successors trade succ for b as a predecessor, and b
+// was a predecessor of none of them, because its only successor was
+// succ (a succ that is its own successor has two predecessors, so it is
+// never merged). Only succ, now a stub, loses its one predecessor.
 func mergeChains(f *ir.Func) bool {
-	preds := f.Preds()
+	npred := make([]int, len(f.Blocks))
+	for _, b := range f.Blocks {
+		ss, n := b.Succs()
+		for _, s := range ss[:n] {
+			npred[s]++
+		}
+	}
 	changed := false
 	for _, b := range f.Blocks {
 		for {
@@ -82,7 +94,7 @@ func mergeChains(f *ir.Func) bool {
 				break
 			}
 			s := t.Then
-			if s == b.Index || s == 0 || len(preds[s]) != 1 {
+			if s == b.Index || s == 0 || npred[s] != 1 {
 				break
 			}
 			succ := f.Blocks[s]
@@ -93,10 +105,7 @@ func mergeChains(f *ir.Func) bool {
 			b.Instrs = append(b.Instrs[:len(b.Instrs)-1], succ.Instrs...)
 			// succ becomes an unreachable stub.
 			succ.Instrs = []ir.Instr{{Op: ir.Ret, A: ir.ConstOp(0)}}
-			preds[s] = nil
-			// Successors of succ now have b as predecessor; patch preds
-			// conservatively by recomputing when needed.
-			preds = f.Preds()
+			npred[s] = 0
 			changed = true
 		}
 	}
@@ -113,7 +122,8 @@ func dropUnreachable(f *ir.Func) bool {
 	for len(stack) > 0 {
 		bi := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, s := range f.Blocks[bi].Succs() {
+		ss, n := f.Blocks[bi].Succs()
+		for _, s := range ss[:n] {
 			if !reach[s] {
 				reach[s] = true
 				stack = append(stack, s)

@@ -76,6 +76,47 @@ func TestMergeChainsKeepsDiamonds(t *testing.T) {
 	}
 }
 
+func TestMergeChainsFoldsThreeBlockChain(t *testing.T) {
+	// 0 -> 1 -> 2, each with work of its own: one call splices 1 and
+	// then 2 into 0, since merging 1 leaves 2 with its one predecessor.
+	f := buildFunc(2,
+		[]ir.Instr{{Op: ir.Mov, Dst: 0, A: ir.ConstOp(1)}, {Op: ir.Jmp, Then: 1}},
+		[]ir.Instr{{Op: ir.Add, Dst: 1, A: ir.RegOp(0), B: ir.ConstOp(2)}, {Op: ir.Jmp, Then: 2}},
+		[]ir.Instr{{Op: ir.Ret, A: ir.RegOp(1)}},
+	)
+	if !mergeChains(f) {
+		t.Fatal("no change reported")
+	}
+	if got := f.Blocks[0].Instrs; len(got) != 3 || got[1].Op != ir.Add || got[2].Op != ir.Ret {
+		t.Errorf("one mergeChains did not fold the chain into block 0:\n%s", f)
+	}
+	Cleanup(f)
+	if len(f.Blocks) != 1 {
+		t.Errorf("got %d blocks, want 1:\n%s", len(f.Blocks), f)
+	}
+}
+
+func TestMergeChainsKeepsLoopBackToAbsorber(t *testing.T) {
+	// 1 absorbs 2, its only-predecessor successor, and 2 jumps back to
+	// 1: the result is 1 looping to itself, not 1 merged into itself.
+	f := buildFunc(2,
+		[]ir.Instr{{Op: ir.Mov, Dst: 1, A: ir.ConstOp(0)}, {Op: ir.Jmp, Then: 1}},
+		[]ir.Instr{{Op: ir.Add, Dst: 1, A: ir.RegOp(1), B: ir.ConstOp(1)}, {Op: ir.Jmp, Then: 2}},
+		[]ir.Instr{{Op: ir.Store, A: ir.GlobalOp("g"), B: ir.RegOp(1)}, {Op: ir.Jmp, Then: 1}},
+	)
+	if !mergeChains(f) {
+		t.Fatal("no change reported")
+	}
+	Cleanup(f)
+	if len(f.Blocks) != 2 {
+		t.Fatalf("got %d blocks, want 2:\n%s", len(f.Blocks), f)
+	}
+	loop := f.Blocks[1].Instrs
+	if len(loop) != 3 || loop[0].Op != ir.Add || loop[1].Op != ir.Store || loop[2].Op != ir.Jmp || loop[2].Then != 1 {
+		t.Errorf("block 1 is not the merged self-loop:\n%s", f)
+	}
+}
+
 func TestDropUnreachableRemapsTargets(t *testing.T) {
 	f := buildFunc(1,
 		[]ir.Instr{{Op: ir.Jmp, Then: 2}},
@@ -89,7 +130,8 @@ func TestDropUnreachableRemapsTargets(t *testing.T) {
 		if b.Term().Op == ir.Ret && b.Term().A.IsConst() && b.Term().A.Val == 99 {
 			t.Errorf("unreachable block survived")
 		}
-		for _, s := range b.Succs() {
+		ss, n := b.Succs()
+		for _, s := range ss[:n] {
 			if s < 0 || s >= len(f.Blocks) {
 				t.Fatalf("dangling successor %d after remap:\n%s", s, f)
 			}

@@ -13,6 +13,7 @@
 package opt
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/interp"
@@ -56,8 +57,9 @@ func (e env) set(r ir.Reg, v lv) {
 }
 
 // cpState is ConstProp's pooled working memory: one lv slab carved into
-// per-block environments plus the out scratch, the reached/inWork bit
-// vectors, the worklist, and the constant table with its intern index.
+// per-block environments plus the out scratch, the per-block flags, the
+// reverse postorder with its DFS stack, the per-block delta lists, the
+// sparse-meet scratch, and the constant table with its intern index.
 // Pooling it matters: the per-visit env clones the pool replaces were
 // the compiler's largest allocation source (≈36% of all bytes over a
 // Table 1 run), and the GC cycles they forced also drained the
@@ -65,11 +67,18 @@ func (e env) set(r ir.Reg, v lv) {
 type cpState struct {
 	slab   []lv
 	ins    []env
-	marks  []bool // reached[0:nb] ++ inWork[nb:2nb]
-	work   []int
+	marks  []bool // reached, pending, fresh and seen: nb each
+	order  []int
+	stack  []dfsFrame
+	deltas [][]ir.Reg // deltas[b]: registers whose ins[b] cell changed since b was last processed
+	sparse []ir.Reg
 	consts []ir.Operand // consts[v] for every constant cell v; [0:2] unused
 	ids    map[ir.Operand]lv
 }
+
+// dfsFrame is one entry of rpo's DFS stack: a block and how many of its
+// successors the search has taken.
+type dfsFrame struct{ b, i int }
 
 var cpPool = sync.Pool{New: func() any {
 	return &cpState{consts: make([]ir.Operand, 2), ids: make(map[ir.Operand]lv)}
@@ -86,12 +95,69 @@ func (st *cpState) intern(op ir.Operand) lv {
 	return v
 }
 
+// meet is the lattice meet of a successor's cell n with an out cell o:
+// top in o is the identity and bottom in n absorbs; otherwise n takes
+// o's constant if it was top and falls to bottom if it held a different
+// one.
+func meet(n, o lv) lv {
+	if o == top || n == o || n == bottom {
+		return n
+	}
+	if n == top {
+		return o
+	}
+	return bottom
+}
+
+// rpo returns the blocks reachable from the entry in reverse postorder,
+// marking each in seen.
+func (st *cpState) rpo(f *ir.Func, seen []bool) []int {
+	order, stack := st.order[:0], append(st.stack[:0], dfsFrame{})
+	seen[0] = true
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		ss, n := f.Blocks[top.b].Succs()
+		if top.i < n {
+			s := ss[top.i]
+			top.i++
+			if !seen[s] {
+				seen[s] = true
+				stack = append(stack, dfsFrame{b: s})
+			}
+			continue
+		}
+		order = append(order, top.b)
+		stack = stack[:len(stack)-1]
+	}
+	slices.Reverse(order)
+	st.order, st.stack = order, stack
+	return order
+}
+
 // ConstProp performs a forward conditional-constant dataflow over f and
 // rewrites the function: operands known constant are substituted,
 // foldable instructions become moves of constants, branches on constants
 // become jumps, and indirect calls through known function addresses
 // become direct calls. It reports whether anything changed.
-func ConstProp(f *ir.Func) bool {
+func ConstProp(f *ir.Func) bool { return constProp(f, nil) }
+
+// constProp is ConstProp adding its block visits and met cells into w
+// (nil allowed).
+//
+// The fixpoint makes passes over the reachable blocks in reverse
+// postorder, processing each block whose in-state changed, until a pass
+// processes none. A block's first processing meets every register into
+// each reached successor; a later one meets only the registers in its
+// delta list (those whose in-cell changed since its last processing)
+// and the registers it defines. That is exact: for any other r,
+// out[r] == ins[b][r] still holds the value b met into every successor
+// last time, and a meet only lowers a cell, so meeting it again changes
+// nothing. Every merge therefore reports the change the dense merge
+// would, and since meet and transfer are monotone, any fair visit order
+// reaches the same maximal fixpoint. TestConstPropMatchesReference and
+// TestConstPropCornerCases pin the result to the dense LIFO reference
+// in constprop_ref_test.go, and the former bounds the work against it.
+func constProp(f *ir.Func, w *Work) bool {
 	nb, nr := len(f.Blocks), int(f.NumRegs)
 	st := cpPool.Get().(*cpState)
 	defer cpPool.Put(st)
@@ -103,22 +169,28 @@ func ConstProp(f *ir.Func) bool {
 	if cap(st.ins) < nb {
 		st.ins = make([]env, nb)
 	}
-	if cap(st.marks) < 2*nb {
-		st.marks = make([]bool, 2*nb)
+	if cap(st.marks) < 4*nb {
+		st.marks = make([]bool, 4*nb)
+	}
+	if len(st.deltas) < nb {
+		st.deltas = append(st.deltas, make([][]ir.Reg, nb-len(st.deltas))...)
 	}
 	ins := st.ins[:nb]
 	for i := range ins {
 		ins[i] = env(st.slab[i*nr : (i+1)*nr])
 	}
+	deltas := st.deltas[:nb]
+	for i := range deltas {
+		deltas[i] = deltas[i][:0]
+	}
 	// A block's env is read only after its reached bit is set, and the
 	// first touch is a full overwrite (copy below), so stale slab
 	// contents never leak between calls; only entry needs clearing.
-	reached := st.marks[:nb]
-	inWork := st.marks[nb : 2*nb]
-	for i := range reached {
-		reached[i] = false
-		inWork[i] = false
-	}
+	// pending marks a block whose in-state changed since it was last
+	// processed; fresh one reached but not yet processed.
+	marks := st.marks[:4*nb]
+	clear(marks)
+	reached, pending, fresh, seen := marks[:nb], marks[nb:2*nb], marks[2*nb:3*nb], marks[3*nb:]
 	// Entry: parameters and everything else start varying only when
 	// used before definition; the lattice handles that via top.
 	entry := ins[0]
@@ -126,54 +198,93 @@ func ConstProp(f *ir.Func) bool {
 	for i := 0; i < f.NumParams; i++ {
 		entry[i] = bottom
 	}
-	reached[0] = true
+	reached[0], pending[0], fresh[0] = true, true, true
+	order := st.rpo(f, seen)
 
-	work := append(st.work[:0], 0)
-	defer func() { st.work = work[:0] }()
-	inWork[0] = true
 	// out is scratch reused across visits; each ins[s] is a uniquely
 	// owned slice (overwritten on first reach), so successor states meet
 	// in place instead of clone-merge-compare.
 	out := env(st.slab[nb*nr : (nb+1)*nr])
-	for len(work) > 0 {
-		bi := work[len(work)-1]
-		work = work[:len(work)-1]
-		inWork[bi] = false
-		b := f.Blocks[bi]
-		copy(out, ins[bi])
-		for i := range b.Instrs {
-			st.transfer(&b.Instrs[i], out)
-		}
-		for _, s := range b.Succs() {
-			next := ins[s][:len(out)]
-			if !reached[s] {
-				copy(next, out)
-				reached[s] = true
-			} else {
-				// Meet out into next: top in out is the identity and
-				// bottom in next absorbs; otherwise next takes out's
-				// constant if it was top and falls to bottom if it held
-				// a different one.
-				changed := false
-				for r, o := range out {
-					if n := next[r]; o != top && n != o && n != bottom {
-						if n == top {
-							next[r] = o
-						} else {
-							next[r] = bottom
-						}
-						changed = true
-					}
+	sparse := st.sparse[:0]
+	var visits, cells int64
+	for again := true; again; {
+		again = false
+		for _, bi := range order {
+			if !pending[bi] {
+				continue
+			}
+			again = true
+			visits++
+			pending[bi] = false
+			first := fresh[bi]
+			fresh[bi] = false
+			b := f.Blocks[bi]
+			copy(out, ins[bi])
+			// sparse collects what a later processing meets: the
+			// registers b writes (transfer ignores an out-of-range one,
+			// which only illegal IR has) and b's delta list.
+			sparse = sparse[:0]
+			for i := range b.Instrs {
+				in := &b.Instrs[i]
+				st.transfer(in, out)
+				if !first && in.HasDst() && uint(in.Dst) < uint(nr) {
+					sparse = append(sparse, in.Dst)
 				}
-				if !changed {
+			}
+			if !first {
+				sparse = append(sparse, deltas[bi]...)
+			}
+			deltas[bi] = deltas[bi][:0]
+			ss, n := b.Succs()
+			for _, s := range ss[:n] {
+				next := ins[s][:len(out)]
+				if !reached[s] {
+					copy(next, out)
+					reached[s], pending[s], fresh[s] = true, true, true
 					continue
 				}
-			}
-			if !inWork[s] {
-				work = append(work, s)
-				inWork[s] = true
+				// A fresh s meets densely on its first processing, so it
+				// keeps no delta list yet. A self-merge (s == bi) can
+				// change only cells bi defines, since for any other r
+				// out[r] == ins[bi][r], and bi meets its defs on every
+				// later processing; so it records nothing either.
+				track := !fresh[s] && s != bi
+				sd := deltas[s]
+				changed := false
+				if first {
+					cells += int64(len(out))
+					for r, o := range out {
+						if m := meet(next[r], o); m != next[r] {
+							next[r] = m
+							changed = true
+							if track {
+								sd = append(sd, ir.Reg(r))
+							}
+						}
+					}
+				} else {
+					cells += int64(len(sparse))
+					for _, r := range sparse {
+						if m := meet(next[r], out[r]); m != next[r] {
+							next[r] = m
+							changed = true
+							if track {
+								sd = append(sd, r)
+							}
+						}
+					}
+				}
+				deltas[s] = sd
+				if changed {
+					pending[s] = true
+				}
 			}
 		}
+	}
+	st.sparse = sparse
+	if w != nil {
+		w.CPVisits += visits
+		w.CPCells += cells
 	}
 
 	// Rewrite using the fixpoint states.

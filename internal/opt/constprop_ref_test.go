@@ -1,10 +1,13 @@
 package opt_test
 
 // The reference constant propagator: opt.ConstProp as it stood before
-// its lattice cells became interned 4-byte ids, kept verbatim (only the
-// entry point is renamed and foldInstr reached through FoldInstr) so
-// TestConstPropMatchesReference and BenchmarkConstProp can compare the
-// two on the same inputs.
+// its lattice cells became interned 4-byte ids and its fixpoint a
+// reverse-postorder delta merge, kept verbatim (only the entry point is
+// renamed, foldInstr reached through FoldInstr and Block.Succs called
+// in its allocation-free form) so TestConstPropMatchesReference and
+// BenchmarkConstProp can compare the two on the same inputs. It counts
+// its block visits and met cells into an opt.Work the way the new code
+// does, so the test can bound the new code's work against it.
 
 import (
 	"sync"
@@ -86,8 +89,9 @@ var cpPool = sync.Pool{New: func() any { return new(cpState) }}
 // rewrites the function: operands known constant are substituted,
 // foldable instructions become moves of constants, branches on constants
 // become jumps, and indirect calls through known function addresses
-// become direct calls. It reports whether anything changed.
-func refConstProp(f *ir.Func) bool {
+// become direct calls. It reports whether anything changed, and adds its
+// block visits and met cells to w when w is not nil.
+func refConstProp(f *ir.Func, w *opt.Work) bool {
 	nb, nr := len(f.Blocks), int(f.NumRegs)
 	st := cpPool.Get().(*cpState)
 	defer cpPool.Put(st)
@@ -135,17 +139,24 @@ func refConstProp(f *ir.Func) bool {
 		bi := work[len(work)-1]
 		work = work[:len(work)-1]
 		inWork[bi] = false
+		if w != nil {
+			w.CPVisits++
+		}
 		b := f.Blocks[bi]
 		copy(out, ins[bi])
 		for i := range b.Instrs {
 			transfer(&b.Instrs[i], out)
 		}
-		for _, s := range b.Succs() {
+		ss, n := b.Succs()
+		for _, s := range ss[:n] {
 			next := ins[s]
 			if !reached[s] {
 				copy(next, out)
 				reached[s] = true
 			} else {
+				if w != nil {
+					w.CPCells += int64(len(out))
+				}
 				changed := false
 				for r := range out {
 					// meet with top is the identity, so top entries of out

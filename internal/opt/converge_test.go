@@ -79,13 +79,13 @@ func TestOptimizeConvergedStaysConverged(t *testing.T) {
 			if honest, _ := round(f); !honest {
 				return false
 			}
-			if !opt.Optimize(f, pure) {
+			if !opt.Optimize(f, pure, nil) {
 				limited++ // stopped at the round limit: nothing to pin
 				continue
 			}
 			converged++
 			before := f.String()
-			if !opt.Optimize(f, pure) || f.String() != before {
+			if !opt.Optimize(f, pure, nil) || f.String() != before {
 				t.Logf("%s stop %d pure %v %s: a converged function changed on re-optimization\nbefore:\n%s\nafter:\n%s",
 					p.name, stop, in.Pure, f.QName, before, f)
 				return false

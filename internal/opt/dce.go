@@ -84,7 +84,8 @@ func DCE(f *ir.Func, pure Purity) bool {
 		for bi := len(f.Blocks) - 1; bi >= 0; bi-- {
 			b := f.Blocks[bi]
 			out := liveOut[bi]
-			for _, s := range b.Succs() {
+			ss, n := b.Succs()
+			for _, s := range ss[:n] {
 				if out.unionInto(liveIn[s]) {
 					changed = true
 				}

@@ -211,7 +211,7 @@ func main() int {
 `
 	p := testutil.MustBuild(t, src)
 	pure := func(callee string) bool { return callee == "main:pureAdd" }
-	p.Funcs(func(f *ir.Func) bool { opt.Optimize(f, pure); return true })
+	p.Funcs(func(f *ir.Func) bool { opt.Optimize(f, pure, nil); return true })
 	main := p.Func("main:main")
 	calls := 0
 	for _, b := range main.Blocks {

@@ -6,16 +6,28 @@ import "repro/internal/ir"
 // practice two or three rounds reach the fixpoint.
 const maxRounds = 6
 
+// Work counts what the scalar pipeline did. The counts are exact and
+// repeat run to run, so they show a change in work that host noise
+// would hide in a timing.
+type Work struct {
+	Rounds   int64 // pipeline rounds Optimize ran
+	CPVisits int64 // ConstProp block processings
+	CPCells  int64 // register cells ConstProp met on CFG edges, first-reach copies excluded
+}
+
 // Optimize runs the scalar pipeline on one function to a bounded
 // fixpoint: constant propagation and branch folding, CFG cleanup, local
 // value numbering, and dead-code elimination. pure may be nil.
 // It reports whether it converged: some round changed nothing, so a
 // further Optimize under the same purity facts would change nothing
 // either. A run whose last permitted round still changed something
-// reports false.
-func Optimize(f *ir.Func, pure Purity) bool {
+// reports false. When w is not nil, Optimize adds its work counts to it.
+func Optimize(f *ir.Func, pure Purity, w *Work) bool {
 	for round := 0; round < maxRounds; round++ {
-		changed := ConstProp(f)
+		if w != nil {
+			w.Rounds++
+		}
+		changed := constProp(f, w)
 		changed = Cleanup(f) || changed
 		changed = LocalCSE(f) || changed
 		changed = DCE(f, pure) || changed
@@ -30,7 +42,7 @@ func Optimize(f *ir.Func, pure Purity) bool {
 // OptimizeProgram runs Optimize over every function.
 func OptimizeProgram(p *ir.Program, pure Purity) {
 	p.Funcs(func(f *ir.Func) bool {
-		Optimize(f, pure)
+		Optimize(f, pure, nil)
 		return true
 	})
 }
