@@ -19,14 +19,7 @@
 //	-replay PATH    replay one corpus file, or every entry of a directory
 //	-no-minimize    store failures unshrunk
 //	-inject-bug B   deliberately miscompile (mutation-test the oracles);
-//	                known bugs: inline-swap-args
-//	-faults         run the fault-injection campaign instead of fuzzing:
-//	                every registered resilience point is armed one at a
-//	                time over the specsuite and must recover as documented
-//	                (rollback remark + byte-identical output, or a
-//	                structured error) — see internal/fuzz/faults.go
-//	-faults-seed N  campaign seed (default 1); fixes the firing sites
-//	-faults-bench L comma-separated benchmarks (default: all)
+//	                known bugs: inline-swap-args, inline-bad-reg
 //
 // Failures are minimized with the greedy line minimizer and written to
 // the corpus as replayable .minic files. Exit status: 0 clean, 1 when
@@ -37,8 +30,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/fuzz"
@@ -53,16 +44,10 @@ func main() {
 	replay := flag.String("replay", "", "replay a corpus file or directory instead of fuzzing")
 	noMinimize := flag.Bool("no-minimize", false, "store failures unshrunk")
 	injectBug := flag.String("inject-bug", "", "deliberately miscompile (oracle self-test)")
-	faults := flag.Bool("faults", false, "run the fault-injection campaign")
-	faultsSeed := flag.Int64("faults-seed", 1, "fault campaign seed")
-	faultsBench := flag.String("faults-bench", "", "comma-separated benchmarks for -faults (default all)")
 	flag.Parse()
 
 	cfg := fuzz.Config{Workers: *workers, InjectBug: *injectBug}
 
-	if *faults {
-		os.Exit(runFaults(*faultsSeed, *faultsBench))
-	}
 	if *replay != "" {
 		os.Exit(replayPath(*replay, cfg))
 	}
@@ -100,42 +85,6 @@ func main() {
 	if failures > 0 {
 		os.Exit(1)
 	}
-}
-
-// runFaults runs the fault-injection campaign and reports per-point
-// firing counts. Exit status mirrors the fuzzer: 0 when every injection
-// recovered as documented, 1 otherwise.
-func runFaults(seed int64, benches string) int {
-	cfg := fuzz.FaultConfig{Seed: seed}
-	if benches != "" {
-		cfg.Benchmarks = strings.Split(benches, ",")
-	}
-	rep, err := fuzz.RunFaults(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hlofuzz:", err)
-		return 2
-	}
-	fmt.Fprintf(os.Stderr, "hlofuzz: faults: seed %d, %d benchmarks, %d trials\n",
-		seed, rep.Benches, rep.Trials)
-	for _, name := range sortedKeys(rep.Fired) {
-		fmt.Fprintf(os.Stderr, "hlofuzz: faults: %-16s fired %d, recovered\n", name, rep.Fired[name])
-	}
-	for _, f := range rep.Failures {
-		fmt.Fprintf(os.Stderr, "hlofuzz: FAILURE %v\n", f)
-	}
-	if !rep.Ok() {
-		return 1
-	}
-	return 0
-}
-
-func sortedKeys(m map[string]int) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // report minimizes (unless disabled), prints, and stores one failure.

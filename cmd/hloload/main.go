@@ -29,10 +29,11 @@
 //	-backoff-cap D ceiling on the exponential backoff (default 2s)
 //	-seed N        jitter seed, for reproducible retry schedules
 //
-// Exit status is non-zero if the run saw any transport error or any
-// response that was neither 2xx nor 429 — under admission control
-// those are the only healthy answers, which makes hloload double as
-// the CI smoke check against a live daemon or a whole farm.
+// Exit status is non-zero if the run completed no 2xx request, or saw
+// any transport error or any response that was neither 2xx nor 429 —
+// under admission control those are the only healthy answers, which
+// makes hloload double as the CI smoke check against a live daemon or
+// a whole farm.
 package main
 
 import (
@@ -113,7 +114,7 @@ func main() {
 	}
 
 	if !rep.Healthy() {
-		fmt.Fprintln(os.Stderr, "hloload: unhealthy run (non-2xx/429 responses or transport errors)")
+		fmt.Fprintln(os.Stderr, "hloload: unhealthy run (no 2xx response, non-2xx/429 responses or transport errors)")
 		os.Exit(1)
 	}
 }

@@ -16,7 +16,8 @@
 //	                  (default "cell/")
 //	-trace-out F      also write the spans as Chrome trace-event JSON
 //	-min-coverage PCT exit 1 if attribution coverage is below PCT
-//	                  (e.g. 90; 0 disables the gate)
+//	                  (e.g. 90; 0 disables the gate); a stream with no
+//	                  closed span reads 0% and fails it
 //
 // Multiple input files are concatenated in argument order, so per-
 // experiment dumps aggregate into one report. Exit status 1 on the

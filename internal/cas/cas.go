@@ -9,7 +9,7 @@
 // Corrupt entries degrade, never crash: a bad header, a truncated
 // payload, or a checksum mismatch moves the file into quarantine/ and
 // reports a cache miss, reusing the resilience degrade path ("cas/read"
-// is a registered fault point, so hlofuzz -faults proves the guard).
+// is a registered fault point; TestInjectedReadFaultDegrades arms it).
 //
 // The store also carries the farm's cross-process single-flight: lease
 // files (see lease.go) let N daemons agree that exactly one of them
@@ -38,17 +38,17 @@ import (
 // ptRead guards entry validation: an injected panic while decoding an
 // on-disk entry must quarantine the file and report a miss, not kill
 // the daemon.
-var ptRead = resilience.Register("cas/read", resilience.KindDegrade)
+var ptRead = resilience.Register("cas/read")
 
 // ptWrite guards Put: a store that cannot write (ENOSPC, EIO, an
 // injected panic) must surface an error the caller treats as a counted
 // miss — compile locally, skip the fill — never a crash.
-var ptWrite = resilience.Register("cas/write", resilience.KindDegrade)
+var ptWrite = resilience.Register("cas/write")
 
 // ptEvict guards the LRU sweep: a failure while evicting must abandon
 // the sweep (the next Put retries it), not take down the daemon that
 // happened to trigger it.
-var ptEvict = resilience.Register("cas/evict", resilience.KindDegrade)
+var ptEvict = resilience.Register("cas/evict")
 
 // magic is the entry-header magic plus format version. Bump the version
 // to invalidate every existing entry on disk: old entries then fail
@@ -242,11 +242,7 @@ func (s *Store) Put(kind, key string, payload []byte) (err error) {
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			if pt, ok := resilience.IsInjected(r); ok {
-				err = fmt.Errorf("cas: put %s/%s: injected fault at %s", kind, key, pt)
-			} else {
-				err = fmt.Errorf("cas: put %s/%s: panic: %v", kind, key, r)
-			}
+			err = fmt.Errorf("cas: put %s/%s: panic: %v", kind, key, r)
 		}
 		if err != nil {
 			s.writeErrors.Add(1)
@@ -351,10 +347,6 @@ func (s *Store) Get(kind, key string) ([]byte, error) {
 func validateEntry(kind string, raw []byte) (payload []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if pt, ok := resilience.IsInjected(r); ok {
-				err = fmt.Errorf("injected fault at %s", pt)
-				return
-			}
 			err = fmt.Errorf("panic validating entry: %v", r)
 		}
 	}()

@@ -41,7 +41,7 @@ import (
 // ptScrub guards per-object scrub validation: an injected panic while
 // scrubbing one entry must skip that entry and continue the pass, not
 // abort daemon startup.
-var ptScrub = resilience.Register("cas/scrub", resilience.KindDegrade)
+var ptScrub = resilience.Register("cas/scrub")
 
 // debrisAge is how old a .tmp-* / .renew-* / tombstone file must be
 // before maintenance removes it: anything younger may belong to a live

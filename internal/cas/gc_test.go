@@ -334,6 +334,27 @@ func TestRenewSurvivesInjectedFault(t *testing.T) {
 	}
 }
 
+// TestInjectedScrubFaultSkipsEntry: the "cas/scrub" point panics while
+// scrubbing one object; the pass counts a scrub error and must not
+// quarantine the healthy object, which still reads afterwards.
+func TestInjectedScrubFaultSkipsEntry(t *testing.T) {
+	s := openTest(t, Options{})
+	t.Cleanup(resilience.DisarmAll)
+	key := Key([]byte("scrubbed"))
+	if err := s.Put("ir", key, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := resilience.Arm("cas/scrub", 0); err != nil {
+		t.Fatal(err)
+	}
+	if rep := s.Scrub(); rep.Errors != 1 || rep.Quarantined != 0 {
+		t.Fatalf("faulted Scrub = %+v, want Errors 1 and Quarantined 0", rep)
+	}
+	if got, err := s.Get("ir", key); err != nil || string(got) != "payload" {
+		t.Fatalf("Get after faulted scrub = %q, %v", got, err)
+	}
+}
+
 // TestWaitDelayBackoff: the follower poll delay starts at the base
 // interval and doubles with equal jitter up to 16x, never below half
 // the nominal step (the deterministic floor) and never above it.

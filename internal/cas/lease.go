@@ -20,7 +20,7 @@ import (
 // surface as an error the heartbeat loop absorbs (the next tick
 // retries; worst case followers take over and duplicate one fill),
 // never kill the goroutine and silently orphan the lease.
-var ptHeartbeat = resilience.Register("lease/heartbeat", resilience.KindDegrade)
+var ptHeartbeat = resilience.Register("lease/heartbeat")
 
 // Cache-fill leases: the cross-process single-flight protocol.
 //
@@ -186,11 +186,7 @@ func (l *Lease) Renew() (err error) {
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			if pt, ok := resilience.IsInjected(r); ok {
-				err = fmt.Errorf("cas: renew %s: injected fault at %s", l.path, pt)
-			} else {
-				err = fmt.Errorf("cas: renew %s: panic: %v", l.path, r)
-			}
+			err = fmt.Errorf("cas: renew %s: panic: %v", l.path, r)
 		}
 	}()
 	ptHeartbeat.Inject()

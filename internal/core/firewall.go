@@ -18,12 +18,12 @@ import (
 // incremented, and compilation continued on the rest of the program.
 
 // Fault-injection points inside HLO's guarded mutations. Disarmed (the
-// only state outside fault campaigns) each costs two atomic loads.
+// only state outside tests) each costs one atomic load.
 var (
-	ptInline  = resilience.Register("core/inline", resilience.KindRollback)
-	ptClone   = resilience.Register("core/clone", resilience.KindRollback)
-	ptOutline = resilience.Register("core/outline", resilience.KindRollback)
-	ptOpt     = resilience.Register("core/opt", resilience.KindRollback)
+	ptInline  = resilience.Register("core/inline")
+	ptClone   = resilience.Register("core/clone")
+	ptOutline = resilience.Register("core/outline")
+	ptOpt     = resilience.Register("core/opt")
 )
 
 // fwOutcome classifies one guarded mutation.

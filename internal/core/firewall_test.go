@@ -6,9 +6,11 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/driver"
 	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/resilience"
+	"repro/internal/specsuite"
 	"repro/internal/testutil"
 )
 
@@ -139,7 +141,6 @@ func TestFirewallInjectedPanicRollsBack(t *testing.T) {
 			want := testutil.MustRun(t, base, tc.inputs...)
 
 			// Faulted compile: the armed point panics once, mid-mutation.
-			resilience.ResetStats()
 			pt, err := resilience.Arm(tc.point, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -182,6 +183,77 @@ func TestFirewallInjectedPanicRollsBack(t *testing.T) {
 	}
 }
 
+// TestFirewallMidCompileFaultsRollBack arms each HLO fault point at its
+// first, second and third hit while compiling two specsuite programs
+// under the peak configuration with outlining and the rollback policy,
+// so faults land mid-compile between earlier and later mutations.
+// Whenever the point fires, the build must carry exactly one
+// rolled-back-panic remark, naming the point, and interpret to the same
+// output as the un-faulted build. Every point must fire somewhere.
+func TestFirewallMidCompileFaultsRollBack(t *testing.T) {
+	defer resilience.DisarmAll()
+	points := []string{"core/inline", "core/clone", "core/outline", "core/opt"}
+	fired := map[string]int{}
+	for _, name := range []string{"022.li", "026.compress"} {
+		b, err := specsuite.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := func(rec *obs.Recorder) driver.Options {
+			o := driver.DefaultOptions(b.Train)
+			o.HLO.Outline = true
+			o.HLO.FailPolicy = resilience.FailRollback
+			o.Obs = rec
+			return o
+		}
+		output := func(t *testing.T, c *driver.Compilation) string {
+			res, err := interp.Run(c.IR, interp.Options{Inputs: b.Train})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fmt.Sprintf("%v/%d", res.Output, res.ExitCode)
+		}
+		resilience.DisarmAll()
+		base, err := driver.Compile(b.Sources, opts(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := output(t, base)
+		for _, point := range points {
+			for skip := int64(0); skip <= 2; skip++ {
+				t.Run(fmt.Sprintf("%s/%s/skip%d", name, strings.ReplaceAll(point, "/", "-"), skip), func(t *testing.T) {
+					pt, err := resilience.Arm(point, skip)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rec := obs.New()
+					c, err := driver.Compile(b.Sources, opts(rec))
+					resilience.DisarmAll()
+					if pt.Fired() == 0 {
+						t.Skipf("compiling %s reaches %s fewer than %d times", name, point, skip+1)
+					}
+					fired[point]++
+					if err != nil {
+						t.Fatalf("compile failed instead of rolling back: %v", err)
+					}
+					rbs := rollbackRemarks(rec, core.RolledBackPanic)
+					if len(rbs) != 1 || !strings.Contains(rbs[0].Detail, point) {
+						t.Fatalf("rolled-back-panic remarks = %+v, want exactly one naming %s", rbs, point)
+					}
+					if got := output(t, c); got != want {
+						t.Errorf("output diverged: faulted %s, un-faulted %s", got, want)
+					}
+				})
+			}
+		}
+	}
+	for _, point := range points {
+		if fired[point] == 0 {
+			t.Errorf("%s never fired: the table proves nothing about its guard", point)
+		}
+	}
+}
+
 // TestFirewallSkipFuncQuarantine checks the skip-func policy: after a
 // rollback the touched functions are quarantined, later passes report
 // their candidates with the skipped-func reason, and the output is
@@ -192,7 +264,6 @@ func TestFirewallSkipFuncQuarantine(t *testing.T) {
 	ref := testutil.MustBuild(t, hotLoopSrc, hotLoopLib)
 	want := testutil.MustRun(t, ref)
 
-	resilience.ResetStats()
 	if _, err := resilience.Arm("core/inline", 0); err != nil {
 		t.Fatal(err)
 	}

@@ -84,8 +84,8 @@ type Compilation struct {
 }
 
 // ptFrontend is the fault-injection point of the front end (armed only
-// by fault campaigns; see internal/resilience).
-var ptFrontend = resilience.Register("driver/frontend", resilience.KindDegrade)
+// by tests; see internal/resilience).
+var ptFrontend = resilience.Register("driver/frontend")
 
 // Frontend parses, checks and lowers MiniC sources into a resolved
 // program. A front-end panic — a parser bug on a pathological input, or

@@ -1,10 +1,13 @@
 package driver_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/driver"
+	"repro/internal/resilience"
 	"repro/internal/specsuite"
 )
 
@@ -94,6 +97,43 @@ func TestFrontendErrors(t *testing.T) {
 	}
 	if _, err := driver.Compile([]string{"not a program"}, driver.Options{HLO: core.DefaultOptions()}); err == nil {
 		t.Error("syntax error not reported")
+	}
+}
+
+// TestInjectedFrontEndFaultsDegrade proves the front end's two fault
+// points: a panic while parsing ("driver/frontend") or lowering
+// ("lower/module") comes back from Compile as an error from that stage's
+// guard naming the point, no panic escapes, and the next compile of the
+// same sources succeeds.
+func TestInjectedFrontEndFaultsDegrade(t *testing.T) {
+	t.Cleanup(resilience.DisarmAll)
+	srcs := []string{"module m; func main() int { return 42; }"}
+	compile := func() (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic escaped Compile: %v", r)
+			}
+		}()
+		_, err = driver.Compile(srcs, driver.Options{HLO: core.DefaultOptions()})
+		return err
+	}
+	for _, tc := range []struct{ point, guard string }{
+		{"driver/frontend", "driver: frontend panicked"},
+		{"lower/module", "lower: module m: lowering panicked"},
+	} {
+		t.Run(strings.ReplaceAll(tc.point, "/", "-"), func(t *testing.T) {
+			if _, err := resilience.Arm(tc.point, 0); err != nil {
+				t.Fatal(err)
+			}
+			err := compile()
+			if err == nil || !strings.Contains(err.Error(), tc.guard) ||
+				!strings.Contains(err.Error(), "injected fault at "+tc.point) {
+				t.Fatalf("armed Compile = %v, want an error from %q naming the injected fault", err, tc.guard)
+			}
+			if err := compile(); err != nil {
+				t.Fatalf("Compile after one-shot fault: %v", err)
+			}
+		})
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/isom"
+	"repro/internal/resilience"
 )
 
 func openCorpus(t *testing.T, name string) *os.File {
@@ -55,47 +56,17 @@ func TestCorruptCorpus(t *testing.T) {
 	}
 }
 
-// TestReadAllQuarantine checks link-mode degradation: with quarantine
-// on, corrupt and duplicate object files are dropped (and reported with
-// their source names) while the healthy modules link; with quarantine
-// off, the first bad input aborts the link.
-func TestReadAllQuarantine(t *testing.T) {
-	srcs := func() []isom.Source {
-		return []isom.Source{
-			{Name: "good.isom", R: openCorpus(t, "good.isom")},
-			{Name: "bad-opcode.isom", R: openCorpus(t, "bad-opcode.isom")},
-			{Name: "dup-a.isom", R: openCorpus(t, "dup-a.isom")},
-			{Name: "dup-b.isom", R: openCorpus(t, "dup-b.isom")},
-		}
+// TestInjectedDecodeFaultIsParseError proves the "isom/decode" point: a
+// panic inside the decoder comes back from Read as a *ParseError whose
+// message names the point, never as a crash.
+func TestInjectedDecodeFaultIsParseError(t *testing.T) {
+	t.Cleanup(resilience.DisarmAll)
+	if _, err := resilience.Arm("isom/decode", 0); err != nil {
+		t.Fatal(err)
 	}
-
-	p, quar, err := isom.ReadAll(srcs(), true)
-	if err != nil {
-		t.Fatalf("quarantine link failed: %v", err)
-	}
-	if len(quar) != 2 {
-		t.Fatalf("quarantined %d inputs, want 2 (bad-opcode, dup-b): %v", len(quar), quar)
-	}
-	if quar[0].Source != "bad-opcode.isom" || quar[1].Source != "dup-b.isom" {
-		t.Errorf("quarantined sources = %s, %s; want bad-opcode.isom, dup-b.isom",
-			quar[0].Source, quar[1].Source)
-	}
-	if !strings.Contains(quar[1].Msg, "duplicate module") {
-		t.Errorf("duplicate not diagnosed as such: %v", quar[1])
-	}
-	if p.Func("main:add") == nil || p.Func("dup:f") == nil {
-		t.Errorf("surviving modules incomplete after quarantine")
-	}
-	if err := p.Verify(); err != nil {
-		t.Errorf("quarantine produced an unverifiable program: %v", err)
-	}
-
-	if _, _, err := isom.ReadAll(srcs(), false); err == nil {
-		t.Fatalf("strict link accepted a corrupt input")
-	} else {
-		var pe *isom.ParseError
-		if !errors.As(err, &pe) || pe.Source != "bad-opcode.isom" {
-			t.Errorf("strict link error = %v, want *ParseError naming bad-opcode.isom", err)
-		}
+	_, err := isom.Read(strings.NewReader("module m\n"))
+	var pe *isom.ParseError
+	if !errors.As(err, &pe) || !strings.Contains(pe.Msg, "injected fault at isom/decode") {
+		t.Fatalf("armed Read = %v, want a *ParseError naming the injected fault", err)
 	}
 }

@@ -18,23 +18,18 @@ import (
 )
 
 // ptDecode is the fault-injection point of the isom decoder (armed only
-// by fault campaigns; see internal/resilience).
-var ptDecode = resilience.Register("isom/decode", resilience.KindDegrade)
+// by tests; see internal/resilience).
+var ptDecode = resilience.Register("isom/decode")
 
 // ParseError is a structured, positional isom parse failure: which
-// input, which line, what was wrong. Read and ReadAll return errors of
-// this type so link-mode callers can report — or quarantine — the one
-// bad object file instead of dying on an opaque string.
+// line, what was wrong. Read returns errors of this type so callers can
+// report the bad object file instead of dying on an opaque string.
 type ParseError struct {
-	Source string // input name (file path); empty for single-reader Read
-	Line   int    // 1-based line of the offending text; 0 if unknown
-	Msg    string
+	Line int // 1-based line of the offending text; 0 if unknown
+	Msg  string
 }
 
 func (e *ParseError) Error() string {
-	if e.Source != "" {
-		return fmt.Sprintf("isom: %s: line %d: %s", e.Source, e.Line, e.Msg)
-	}
 	return fmt.Sprintf("isom: line %d: %s", e.Line, e.Msg)
 }
 
@@ -65,66 +60,6 @@ func Read(r io.Reader) (m *ir.Module, err error) {
 		return nil, &ParseError{Line: p.line, Msg: perr.Error()}
 	}
 	return m, nil
-}
-
-// Source is one named isom input: the linker's view of an object file.
-type Source struct {
-	Name string // for error messages
-	R    io.Reader
-}
-
-// ReadAll parses every source and links the modules into one resolved
-// program — the collection step of the paper's link-time path. Without
-// quarantine the first corrupt input aborts the link. With quarantine,
-// a corrupt input (parse failure or duplicate module definition) is
-// dropped from the link and recorded in the returned slice, and the
-// surviving modules are linked — the degraded-but-useful behaviour of
-// a linker skipping one bad object file. Either way the linked program
-// is resolved before being returned; a resolution failure (a surviving
-// module referencing a quarantined one) aborts, since no correct
-// program can be formed.
-func ReadAll(srcs []Source, quarantine bool) (*ir.Program, []*ParseError, error) {
-	var mods []*ir.Module
-	var quarantined []*ParseError
-	byName := make(map[string]string) // module name -> source name
-	reject := func(src string, err error) error {
-		pe, ok := err.(*ParseError)
-		if !ok {
-			pe = &ParseError{Msg: err.Error()}
-		}
-		pe.Source = src
-		if quarantine {
-			quarantined = append(quarantined, pe)
-			return nil
-		}
-		return pe
-	}
-	for _, s := range srcs {
-		m, err := Read(s.R)
-		if err != nil {
-			if err := reject(s.Name, err); err != nil {
-				return nil, quarantined, err
-			}
-			continue
-		}
-		if prev, dup := byName[m.Name]; dup {
-			err := &ParseError{Msg: fmt.Sprintf("duplicate module %s (already defined by %s)", m.Name, prev)}
-			if err := reject(s.Name, err); err != nil {
-				return nil, quarantined, err
-			}
-			continue
-		}
-		byName[m.Name] = s.Name
-		mods = append(mods, m)
-	}
-	if len(mods) == 0 {
-		return nil, quarantined, fmt.Errorf("isom: no usable modules among %d inputs", len(srcs))
-	}
-	p := ir.NewProgram(mods...)
-	if err := p.Resolve(); err != nil {
-		return nil, quarantined, fmt.Errorf("isom: link failed: %w", err)
-	}
-	return p, quarantined, nil
 }
 
 type parser struct {

@@ -13,8 +13,8 @@ import (
 )
 
 // ptModule is the fault-injection point of the lowering stage (armed
-// only by fault campaigns; see internal/resilience).
-var ptModule = resilience.Register("lower/module", resilience.KindDegrade)
+// only by tests; see internal/resilience).
+var ptModule = resilience.Register("lower/module")
 
 // Program lowers a set of parsed files and links them into a resolved
 // program. Each file must already have passed minic.Check. A lowering

@@ -128,10 +128,12 @@ func Aggregate(spans []Span) *Attribution {
 // 1 - RootSelf/Total. A span stream whose roots are thin wrappers
 // (cell/..., request/...) scores near 1; uninstrumented gaps inside
 // such wrappers lower it. Childless roots are phases in their own
-// right and never count as gaps. Returns 1 for an empty stream.
+// right and never count as gaps. Returns 0 when no wall time was
+// recorded (no closed span): nothing is attributed, so a coverage gate
+// over an empty record fails.
 func (a *Attribution) Coverage() float64 {
 	if a.Total <= 0 {
-		return 1
+		return 0
 	}
 	return 1 - float64(a.RootSelf)/float64(a.Total)
 }

@@ -99,6 +99,17 @@ func TestAggregateSkipsOpenSpans(t *testing.T) {
 	}
 }
 
+// TestCoverageEmptyStream: a stream with no closed span attributes
+// nothing, so hloprof's -min-coverage gate fails on it instead of
+// reading 100%.
+func TestCoverageEmptyStream(t *testing.T) {
+	for _, spans := range [][]obs.Span{nil, {{Name: "stuck", Depth: 0, Open: true}}} {
+		if got := obs.Aggregate(spans).Coverage(); got != 0 {
+			t.Errorf("Coverage of %d spans with none closed = %v, want 0", len(spans), got)
+		}
+	}
+}
+
 func TestStable(t *testing.T) {
 	got := obs.Aggregate(sampleSpans()).Stable()
 	want := []obs.PhaseCount{

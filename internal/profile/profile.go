@@ -20,8 +20,8 @@ import (
 )
 
 // ptRead is the fault-injection point of the profile reader (armed only
-// by fault campaigns; see internal/resilience).
-var ptRead = resilience.Register("profile/read", resilience.KindDegrade)
+// by tests; see internal/resilience).
+var ptRead = resilience.Register("profile/read")
 
 // Data is a profile database.
 type Data struct {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ir"
 	"repro/internal/profile"
+	"repro/internal/resilience"
 )
 
 func TestWriteReadRoundTrip(t *testing.T) {
@@ -79,6 +80,20 @@ func TestReadRejectsGarbage(t *testing.T) {
 		if _, err := profile.Read(strings.NewReader(src)); err == nil {
 			t.Errorf("accepted %q", src)
 		}
+	}
+}
+
+// TestInjectedReadFaultIsError proves the "profile/read" point: a panic
+// inside the reader comes back from Read as an error naming the point,
+// never as a crash.
+func TestInjectedReadFaultIsError(t *testing.T) {
+	t.Cleanup(resilience.DisarmAll)
+	if _, err := resilience.Arm("profile/read", 0); err != nil {
+		t.Fatal(err)
+	}
+	d, err := profile.Read(strings.NewReader(""))
+	if err == nil || d != nil || !strings.Contains(err.Error(), "injected fault at profile/read") {
+		t.Fatalf("armed Read = %v, %v; want a nil database and an error naming the injected fault", d, err)
 	}
 }
 

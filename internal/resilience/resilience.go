@@ -5,17 +5,15 @@
 //
 // Fault points are process-global named sites (e.g. "core/inline",
 // "isom/decode") compiled into the production paths. Disarmed, a point
-// is two atomic loads — cheap enough to leave in release builds. A
-// campaign (hlofuzz -faults) arms exactly one point at a time with a
-// seed-derived skip count, so every registered recovery path is
-// exercised reproducibly: same seed, same firing site, same remark
-// stream.
+// costs one atomic load, cheap enough to leave in release builds. Each
+// guard's own package test arms its point and asserts the recovery, so
+// every registered recovery path is exercised reproducibly.
 //
 // Naming scheme: "<package>/<site>", lower-case, one site per guarded
-// boundary. Rollback-kind points sit inside mutations that a pass
-// firewall snapshots and restores; degrade-kind points sit on input
-// boundaries (decode, profile read, cache fill, request dispatch) whose
-// guards turn the panic into a structured error or a 500 instead.
+// boundary. Points inside mutations that a pass firewall snapshots are
+// rolled back; points on input boundaries (decode, profile read, store
+// I/O, request dispatch) have guards that turn the panic into a
+// structured error or a 500 instead.
 package resilience
 
 import (
@@ -25,30 +23,9 @@ import (
 	"sync/atomic"
 )
 
-// Kind classifies what recovery a fault point's guard provides.
-type Kind uint8
-
-const (
-	// KindRollback points sit inside IR mutations guarded by a pass
-	// firewall: an injected panic is recovered, the function snapshots
-	// are restored, and compilation continues.
-	KindRollback Kind = iota
-	// KindDegrade points sit on input/service boundaries: an injected
-	// panic is recovered into a structured error (decode failure,
-	// HTTP 500, ...) without killing the process.
-	KindDegrade
-)
-
-func (k Kind) String() string {
-	if k == KindDegrade {
-		return "degrade"
-	}
-	return "rollback"
-}
-
 // InjectedFault is the panic value raised by an armed Point. Guards can
-// treat it like any other panic; campaigns use IsInjected to confirm
-// that a recovered panic was the one they planted.
+// treat it like any other panic; IsInjected tells it apart where the
+// recovery differs for a planted fault.
 type InjectedFault struct {
 	Point string
 }
@@ -57,8 +34,8 @@ func (f *InjectedFault) Error() string {
 	return "resilience: injected fault at " + f.Point
 }
 
-// IsInjected reports whether a recovered panic value (or an error
-// wrapping one) is an injected fault, and at which point.
+// IsInjected reports whether a recovered panic value is an injected
+// fault, and at which point.
 func IsInjected(r any) (point string, ok bool) {
 	if f, isf := r.(*InjectedFault); isf {
 		return f.Point, true
@@ -71,32 +48,19 @@ func IsInjected(r any) (point string, ok bool) {
 // fast path costs one load.
 type Point struct {
 	name  string
-	kind  Kind
 	armed atomic.Bool
 	skip  atomic.Int64 // remaining Inject hits to let pass before firing
-	hits  atomic.Int64 // Inject calls since the last ResetStats
-	fired atomic.Int64 // faults actually raised since the last ResetStats
+	fired atomic.Int64 // faults actually raised since the last Arm
 }
 
-// Name returns the point's registered name.
-func (p *Point) Name() string { return p.name }
-
-// Kind returns the recovery class the point's guard provides.
-func (p *Point) Kind() Kind { return p.kind }
-
-// Hits returns how many times execution passed the point since the last
-// ResetStats (fired or not).
-func (p *Point) Hits() int64 { return p.hits.Load() }
-
-// Fired returns how many faults the point raised since the last
-// ResetStats.
+// Fired returns how many faults the point raised since it was last
+// armed.
 func (p *Point) Fired() int64 { return p.fired.Load() }
 
 // Inject raises an InjectedFault panic if the point is armed and its
 // skip count is exhausted. Arming is one-shot: the point disarms itself
 // as it fires, so one Arm produces exactly one fault.
 func (p *Point) Inject() {
-	p.hits.Add(1)
 	if !p.armed.Load() {
 		return
 	}
@@ -117,65 +81,51 @@ var registry struct {
 }
 
 // Register creates (or returns the existing) fault point with the given
-// name. Registering the same name with a different kind panics — a
-// point's recovery class is a property of the guarded site, not of the
-// caller.
-func Register(name string, kind Kind) *Point {
+// name.
+func Register(name string) *Point {
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
 	if registry.points == nil {
 		registry.points = make(map[string]*Point)
 	}
 	if p, ok := registry.points[name]; ok {
-		if p.kind != kind {
-			panic(fmt.Sprintf("resilience: point %q re-registered as %s (was %s)", name, kind, p.kind))
-		}
 		return p
 	}
-	p := &Point{name: name, kind: kind}
+	p := &Point{name: name}
 	registry.points[name] = p
 	return p
 }
 
-// Lookup returns the registered point with the given name, or nil.
-func Lookup(name string) *Point {
+func lookup(name string) *Point {
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
 	return registry.points[name]
 }
 
-// Points returns every registered point sorted by name.
-func Points() []*Point {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	out := make([]*Point, 0, len(registry.points))
-	for _, p := range registry.points {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}
-
 // PointNames returns every registered point name, sorted.
 func PointNames() []string {
-	pts := Points()
-	names := make([]string, len(pts))
-	for i, p := range pts {
-		names[i] = p.name
+	registry.mu.Lock()
+	defer registry.mu.Unlock()
+	names := make([]string, 0, len(registry.points))
+	for name := range registry.points {
+		names = append(names, name)
 	}
+	sort.Strings(names)
 	return names
 }
 
-// Arm arms the named point to fire on the (skip+1)-th Inject hit, once.
-// It returns the point, or an error for an unknown name.
+// Arm arms the named point to fire on the (skip+1)-th Inject hit, once,
+// and zeroes its Fired count. It returns the point, or an error for an
+// unknown name.
 func Arm(name string, skip int64) (*Point, error) {
-	p := Lookup(name)
+	p := lookup(name)
 	if p == nil {
 		return nil, fmt.Errorf("resilience: unknown fault point %q", name)
 	}
 	if skip < 0 {
 		skip = 0
 	}
+	p.fired.Store(0)
 	p.skip.Store(skip)
 	p.armed.Store(true)
 	return p, nil
@@ -184,44 +134,16 @@ func Arm(name string, skip int64) (*Point, error) {
 // Disarm clears the named point's arming (no-op when already disarmed
 // or unknown).
 func Disarm(name string) {
-	if p := Lookup(name); p != nil {
+	if p := lookup(name); p != nil {
 		p.armed.Store(false)
 	}
 }
 
 // DisarmAll clears every point's arming.
 func DisarmAll() {
-	for _, p := range Points() {
+	registry.mu.Lock()
+	defer registry.mu.Unlock()
+	for _, p := range registry.points {
 		p.armed.Store(false)
 	}
-}
-
-// ResetStats zeroes every point's hit/fired counters (campaign
-// bookkeeping between runs).
-func ResetStats() {
-	for _, p := range Points() {
-		p.hits.Store(0)
-		p.fired.Store(0)
-	}
-}
-
-// SkipFor derives a small deterministic skip count from a campaign seed
-// and a salt (point name, benchmark name, ...). FNV-1a keeps it stable
-// across runs and platforms; the modulus keeps firing likely even on
-// sites hit only a few times per compile.
-func SkipFor(seed int64, salt string) int64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < 8; i++ {
-		h ^= uint64(seed>>(8*i)) & 0xff
-		h *= prime64
-	}
-	for i := 0; i < len(salt); i++ {
-		h ^= uint64(salt[i])
-		h *= prime64
-	}
-	return int64(h % 3)
 }

@@ -78,10 +78,12 @@ type LoadReport struct {
 	ServiceP99MS float64 `json:"service_p99_ms"`
 }
 
-// Healthy reports whether the run saw only 2xx/429 responses and no
-// transport errors.
+// Healthy reports whether the run completed at least one 2xx request
+// and saw only 2xx/429 responses and no transport errors. A daemon that
+// answers every request 429 admits nothing, so it is not healthy.
 func (r *LoadReport) Healthy() bool {
-	return r.TransportErrors == 0 && r.BadResponses == 0
+	completed := r.Requests - r.TransportErrors - r.Rejected - r.BadResponses
+	return completed > 0 && r.TransportErrors == 0 && r.BadResponses == 0
 }
 
 // clientStats accumulates one requester's outcomes; summarize folds a

@@ -51,6 +51,27 @@ func TestRendezvousOrderStableAndBalanced(t *testing.T) {
 	}
 }
 
+// TestRunLoadAllRejectedUnhealthy: a daemon that answers every request
+// 429 completes nothing, so the run is not healthy.
+func TestRunLoadAllRejectedUnhealthy(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.WriteHeader(http.StatusTooManyRequests)
+	}))
+	t.Cleanup(ts.Close)
+	rep, err := serve.RunLoad(context.Background(), serve.LoadConfig{
+		BaseURL:  ts.URL,
+		Clients:  2,
+		Duration: 300 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Rejected == 0 || rep.Healthy() {
+		t.Fatalf("all-429 run: rejected %d, healthy %v; want rejections and an unhealthy run", rep.Rejected, rep.Healthy())
+	}
+}
+
 // TestRunLoadBackendsShard: client-side rendezvous sharding sends each
 // body to exactly one backend, and the matrix spreads across both.
 func TestRunLoadBackendsShard(t *testing.T) {

@@ -47,8 +47,8 @@ import (
 )
 
 // ptDispatch is the fault-injection point of the worker dispatch (armed
-// only by fault campaigns; see internal/resilience).
-var ptDispatch = resilience.Register("serve/dispatch", resilience.KindDegrade)
+// only by tests; see internal/resilience).
+var ptDispatch = resilience.Register("serve/dispatch")
 
 // Config tunes the server. The zero value is serviceable: a
 // GOMAXPROCS-sized pool, a queue twice that deep, a 2-minute
