@@ -236,7 +236,7 @@ func (h *hlo) applyCloneGroup(grp *cloneGroup) {
 		outcome := h.guardMutation(
 			obs.Remark{Kind: RemarkClone, Caller: grp.callers[0].QName, Callee: clonee.QName,
 				Site: grp.sites[0], Benefit: grp.benefit},
-			nil,
+			nil, nil,
 			func() ([]*ir.Func, string, error) {
 				ptClone.Inject()
 				clone = h.makeClone(spec)
@@ -273,7 +273,12 @@ func (h *hlo) applyCloneGroup(grp *cloneGroup) {
 			continue
 		}
 		// Edit the bound actuals out of the argument list and point the
-		// site at the clone.
+		// site at the clone. The retarget leaves caller's convergence
+		// mark as it was: no pass reads a call's callee except DCE's
+		// purity test, and a clone is never pure (the purity facts
+		// predate every clone), so a clean caller's call stays; and the
+		// dropped actuals are constants and addresses (ipa.ContextOf),
+		// which no pass reads as registers.
 		var args []ir.Operand
 		for ai, a := range in.Args {
 			if ai >= len(spec.bound) || spec.bound[ai].Kind == ir.KindInvalid {
@@ -283,7 +288,7 @@ func (h *hlo) applyCloneGroup(grp *cloneGroup) {
 		outcome := h.guardMutation(
 			obs.Remark{Kind: RemarkClone, Caller: caller.QName, Callee: clonee.QName,
 				Site: site, Benefit: grp.benefits[i]},
-			[]*ir.Func{caller},
+			[]*ir.Func{caller}, nil,
 			func() ([]*ir.Func, string, error) {
 				in.Callee = cloneName
 				in.Args = args

@@ -46,25 +46,27 @@ const (
 // created (registered in the program), a description for verification
 // error messages, and an error when it declined before mutating
 // anything. touched lists the pre-existing functions the mutation may
-// modify. Unless it declined, the touched and created functions are
-// marked dirty for the next reoptimize (see markDirty), whether the
-// mutation landed or was rolled back.
+// modify; stale lists those of them it may leave short of
+// opt.Optimize's fixpoint. Unless it declined, the stale and created
+// functions are marked dirty for the next reoptimize (see markDirty),
+// whether the mutation landed or was rolled back.
 //
 // Under FailAbort the behaviour is exactly historical: no snapshots, a
 // panic propagates, and checkMutation latches the first VerifyEach
-// failure. Under FailRollback/FailSkipFunc the touched functions are
-// snapshotted first; a panic (recovered) or a VerifyEach failure
-// restores them in place, removes the created functions, restores the
-// incremental cost, emits a rollback remark built from proto, and
-// bumps the resilience counters. FailSkipFunc additionally quarantines
-// the touched functions from further transformation.
-func (h *hlo) guardMutation(proto obs.Remark, touched []*ir.Func, mutate func() (created []*ir.Func, what string, err error)) fwOutcome {
+// failure. Under FailRollback/FailSkipFunc every touched function,
+// stale or not, is snapshotted first; a panic (recovered) or a
+// VerifyEach failure restores them in place, removes the created
+// functions, restores the incremental cost, emits a rollback remark
+// built from proto, and bumps the resilience counters. FailSkipFunc
+// additionally quarantines the touched functions from further
+// transformation.
+func (h *hlo) guardMutation(proto obs.Remark, touched, stale []*ir.Func, mutate func() (created []*ir.Func, what string, err error)) fwOutcome {
 	if h.opts.FailPolicy == resilience.FailAbort {
 		created, what, err := mutate()
 		if err != nil {
 			return fwDeclined
 		}
-		h.markDirty(touched, created)
+		h.markDirty(stale, created)
 		h.checkMutation(what, append(touched, created...)...)
 		return fwOK
 	}
@@ -90,7 +92,7 @@ func (h *hlo) guardMutation(proto obs.Remark, touched []*ir.Func, mutate func() 
 		created, what, err = mutate()
 	}()
 	if err == nil {
-		h.markDirty(touched, created)
+		h.markDirty(stale, created)
 	}
 
 	restore := func() {
@@ -153,13 +155,13 @@ func (h *hlo) noteRollback(proto obs.Remark, touched []*ir.Func, reason Reason, 
 	}
 }
 
-// markDirty marks functions for re-optimization. A touched function is
+// markDirty marks functions for re-optimization. A stale function is
 // always marked. A created function is marked only when the mutation
 // did not already run optimizeGuarded on it: makeClone optimizes its
 // clone inside the clone mutation, and the mark that Optimize left
 // (clean when it converged and was not rolled back) stays.
-func (h *hlo) markDirty(touched, created []*ir.Func) {
-	for _, f := range touched {
+func (h *hlo) markDirty(stale, created []*ir.Func) {
+	for _, f := range stale {
 		if f != nil {
 			h.dirty[f] = true
 		}
@@ -191,7 +193,8 @@ func (h *hlo) optimizeGuarded(f *ir.Func, pure opt.Purity) {
 		return
 	}
 	converged := false
-	outcome := h.guardMutation(obs.Remark{Kind: RemarkOpt, Caller: f.QName}, []*ir.Func{f},
+	fs := []*ir.Func{f}
+	outcome := h.guardMutation(obs.Remark{Kind: RemarkOpt, Caller: f.QName}, fs, fs,
 		func() ([]*ir.Func, string, error) {
 			ptOpt.Inject()
 			converged = opt.Optimize(f, pure, &h.optWork)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/driver"
 	"repro/internal/interp"
 	"repro/internal/obs"
+	"repro/internal/randprog"
 	"repro/internal/resilience"
 	"repro/internal/specsuite"
 	"repro/internal/testutil"
@@ -306,6 +307,40 @@ func TestRunLatchesVerifyErr(t *testing.T) {
 	}
 	if !strings.Contains(stats.VerifyErr.Error(), "out of range") {
 		t.Errorf("VerifyErr = %v, want an out-of-range register error", stats.VerifyErr)
+	}
+}
+
+// TestVerifyErrStopsReoptimize checks that a latched verification
+// failure also stops the scalar re-optimization after the pass: the
+// rejected function is never optimized, so a register past the end of
+// its register file reaches no pass that indexes by register. The
+// seeds are large-programs-grid programs whose bad register lands on a
+// word boundary of DCE's liveness sets, where re-optimizing the
+// rejected caller used to panic instead of returning the error.
+func TestVerifyErrStopsReoptimize(t *testing.T) {
+	for _, seed := range []int64{57, 338, 458} {
+		cfg := randprog.Config{
+			Modules: 1 + int(seed%4), Funcs: 2 + int(seed/4%5),
+			Stmts: 6, Depth: 2, ExprDepth: 3, BoundedCallDepth: true,
+		}
+		p, err := driver.Frontend(randprog.Generate(seed, cfg))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		opts := core.DefaultOptions()
+		opts.VerifyEach = true
+		opts.InjectBug = core.BugInlineBadReg
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("seed %d: HLO panicked instead of returning the verify error: %v", seed, r)
+				}
+			}()
+			_, err := core.RunChecked(p, core.WholeProgram(), opts)
+			if err == nil || !strings.Contains(err.Error(), "out of range") {
+				t.Errorf("seed %d: err = %v, want an out-of-range register error", seed, err)
+			}
+		}()
 	}
 }
 

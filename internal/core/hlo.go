@@ -54,20 +54,26 @@ type hlo struct {
 	// happen in place, so pointer identity survives a rollback.
 	skip map[*ir.Func]bool
 	// dirty holds the functions reoptimize must visit: every function a
-	// guarded mutation touched or created (a created function the
-	// mutation already optimized keeps that Optimize's mark), and every
-	// function whose last opt.Optimize stopped at its round limit. A
-	// mark clears only when optimizeGuarded's Optimize converged and was
-	// not rolled back; opt.Optimize reads only the body and the purity
-	// facts, which are fixed after the dead-call stage, so
-	// re-optimizing a clean function would be a no-op round.
+	// guarded mutation may have left short of Optimize's fixpoint or
+	// created (a created function the mutation already optimized keeps
+	// that Optimize's mark), and every function whose last opt.Optimize
+	// stopped at its round limit. A mark clears only when
+	// optimizeGuarded's Optimize converged and was not rolled back;
+	// opt.Optimize reads only the body and the purity facts, which are
+	// fixed after the dead-call stage, so re-optimizing a clean function
+	// would be a no-op round.
 	dirty map[*ir.Func]bool
+	// passedOver, when set, sees every function a skip rule leaves
+	// alone, with the purity facts it would have been optimized under.
+	// Only tests set it, to check that each skip is a no-op.
+	passedOver func(*ir.Func, opt.Purity)
 	// reoptRuns / reoptSkipped count reoptimize's visits to dirty
 	// functions and the clean ones it passed over, published as
 	// hlo.reopt.runs / hlo.reopt.skipped.
 	reoptRuns, reoptSkipped int64
 	// optWork sums every opt.Optimize's work counts, published as
-	// hlo.opt.rounds / hlo.opt.cp.visits / hlo.opt.cp.cells.
+	// hlo.opt.rounds / hlo.opt.cp.visits / hlo.opt.cp.cells /
+	// hlo.opt.cse.scans.
 	optWork opt.Work
 }
 
@@ -102,6 +108,11 @@ func RunChecked(p *ir.Program, scope Scope, opts Options) (*Stats, error) {
 // verification failure still takes precedence, since it describes what
 // was wrong before the cancellation stopped the run.
 func RunCheckedCtx(ctx context.Context, p *ir.Program, scope Scope, opts Options) (*Stats, error) {
+	return run(ctx, p, scope, opts, nil)
+}
+
+// run is RunCheckedCtx with the passedOver hook (nil outside tests).
+func run(ctx context.Context, p *ir.Program, scope Scope, opts Options, passedOver func(*ir.Func, opt.Purity)) (*Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -109,14 +120,15 @@ func RunCheckedCtx(ctx context.Context, p *ir.Program, scope Scope, opts Options
 		opts.Passes = 1
 	}
 	h := &hlo{
-		ctx:     ctx,
-		prog:    p,
-		scope:   scope,
-		opts:    opts,
-		stats:   &Stats{},
-		cloneDB: make(map[string]string),
-		rec:     opts.Obs,
-		dirty:   make(map[*ir.Func]bool),
+		ctx:        ctx,
+		prog:       p,
+		scope:      scope,
+		opts:       opts,
+		stats:      &Stats{},
+		cloneDB:    make(map[string]string),
+		rec:        opts.Obs,
+		dirty:      make(map[*ir.Func]bool),
+		passedOver: passedOver,
 	}
 	p.Funcs(func(f *ir.Func) bool {
 		if f.EntryCount > 0 {
@@ -130,8 +142,12 @@ func RunCheckedCtx(ctx context.Context, p *ir.Program, scope Scope, opts Options
 	// interprocedural side-effect analysis and dead-call deletion
 	// ("they are eliminated before inlining because HLO's
 	// interprocedural analysis determines that they have no side
-	// effect"). Both optimize every function in scope and so set the
-	// first dirty marks.
+	// effect"). The first optimizes every function in scope and so sets
+	// the first dirty marks. The second re-optimizes only the functions
+	// the purity facts can change: those left dirty, and those calling
+	// a pure routine. The facts reach only DCE's verdict on a call to a
+	// pure routine, so a clean function without one is already at the
+	// fixpoint of Optimize under the facts too.
 	sp := h.beginPhase("input-opt")
 	h.forScope(func(f *ir.Func) { h.optimizeGuarded(f, nil) })
 	h.endPhase(sp)
@@ -144,7 +160,13 @@ func RunCheckedCtx(ctx context.Context, p *ir.Program, scope Scope, opts Options
 			h.siteSeq = p.AssignSites(h.siteSeq)
 			deadCands = h.pureCallSites()
 		}
-		h.forScope(func(f *ir.Func) { h.optimizeGuarded(f, h.purity) })
+		h.forScope(func(f *ir.Func) {
+			if h.dirty[f] || h.callsPure(f) {
+				h.optimizeGuarded(f, h.purity)
+			} else if h.passedOver != nil {
+				h.passedOver(f, h.purity)
+			}
+		})
 		h.stats.DeadCalls = before - h.countCalls()
 		if h.rec != nil {
 			h.emitDeadCallRemarks(deadCands)
@@ -239,6 +261,19 @@ func stageFraction(pass, total int) int64 {
 
 func (h *hlo) purity(callee string) bool { return h.pure[callee] }
 
+// callsPure reports whether f makes a direct call to a routine the
+// purity facts mark pure.
+func (h *hlo) callsPure(f *ir.Func) bool {
+	for _, b := range f.Blocks {
+		for i := range b.Instrs {
+			if in := &b.Instrs[i]; in.Op == ir.Call && h.pure[in.Callee] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 func (h *hlo) stopped() bool {
 	if h.verifyErr != nil {
 		return true
@@ -284,8 +319,8 @@ func (h *hlo) checkMutation(what string, funcs ...*ir.Func) {
 // reoptimize visited and the clean ones it skipped, and hlo.opt.rounds /
 // hlo.opt.cp.visits / hlo.opt.cp.cells count the scalar pipeline's
 // rounds, ConstProp's block visits and the register cells it met on CFG
-// edges. The split answers "is the inliner slow, or is it our
-// bookkeeping?".
+// edges, and hlo.opt.cse.scans the facts LocalCSE's kills examined. The
+// split answers "is the inliner slow, or is it our bookkeeping?".
 func (h *hlo) publishCostCounters() {
 	if h.rec == nil {
 		return
@@ -296,6 +331,7 @@ func (h *hlo) publishCostCounters() {
 	h.rec.Count("hlo.opt.rounds", h.optWork.Rounds)
 	h.rec.Count("hlo.opt.cp.visits", h.optWork.CPVisits)
 	h.rec.Count("hlo.opt.cp.cells", h.optWork.CPCells)
+	h.rec.Count("hlo.opt.cse.scans", h.optWork.CSEScans)
 	if h.opts.VerifyEach {
 		h.rec.Count("hlo.verify-ns", h.verifyNS)
 		h.rec.Count("hlo.verify-count", h.verifyCount)
@@ -376,11 +412,19 @@ func (h *hlo) purityOrNil() opt.Purity {
 // reoptimize re-runs the scalar pipeline over the dirty functions in
 // scope after a transformation pass (Figures 3 and 4: "optimize
 // clones/inlines and recalibrate"). A clean function already sits at
-// Optimize's fixpoint, so skipping it changes nothing.
+// Optimize's fixpoint, so skipping it changes nothing. After a latched
+// verification failure it does nothing: the rejected mutation stays the
+// last change, and the broken IR reaches no pass.
 func (h *hlo) reoptimize() {
+	if h.verifyErr != nil {
+		return
+	}
 	h.forScope(func(f *ir.Func) {
 		if !h.dirty[f] {
 			h.reoptSkipped++
+			if h.passedOver != nil {
+				h.passedOver(f, h.purityOrNil())
+			}
 			return
 		}
 		h.reoptRuns++

@@ -116,13 +116,16 @@ func (h *hlo) inlineCandidates(g *ipa.Graph) []*inlineSite {
 // splice, incremental cost and statistics bookkeeping, and the accept
 // remark. A declined mutation (the site vanished or was retargeted
 // since the graph was built) emits the "retargeted" rejection; a
-// rolled-back one was already remarked by guardMutation.
+// rolled-back one was already remarked by guardMutation. The firewall
+// snapshots the callee too, whose profile counts performInline scales,
+// but only the caller goes stale: opt.Optimize reads no profile count.
 func (h *hlo) inline(cand *inlineSite) {
 	old := int64(cand.caller.Size())
+	touched := []*ir.Func{cand.caller, cand.callee}
 	outcome := h.guardMutation(
 		obs.Remark{Kind: RemarkInline, Caller: cand.caller.QName, Callee: cand.callee.QName,
 			Site: cand.site, Benefit: cand.benefit},
-		[]*ir.Func{cand.caller, cand.callee},
+		touched, touched[:1],
 		func() ([]*ir.Func, string, error) {
 			ptInline.Inject()
 			if err := h.performInline(cand); err != nil {

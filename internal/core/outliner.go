@@ -87,10 +87,11 @@ func (h *hlo) outlineFunc(f *ir.Func) int {
 			saved := len(b.Instrs) - 1
 			old := int64(f.Size())
 			var name string
+			fs := []*ir.Func{f}
 			outcome := h.guardMutation(
 				obs.Remark{Kind: RemarkOutline, Caller: f.QName, Site: int32(b.Index),
 					Benefit: int64(saved)},
-				[]*ir.Func{f},
+				fs, fs,
 				func() ([]*ir.Func, string, error) {
 					ptOutline.Inject()
 					h.extract(f, b, ins, outs)

@@ -37,12 +37,13 @@ import (
 //
 // Each stage is one memo.Group, so concurrent requesters of a key share
 // one fill, and a fill that dies of a context error is never kept.
-// Cached front-end output is pristine: every hit returns a fresh deep
-// copy (ir.Program.Clone), so concurrent compilations never share
-// mutable IR. Cached Stats are never handed out either: every caller,
-// the filling one included, gets its own copy. Cached profile databases
-// are shared without copying — profile.Data.Attach only reads the
-// database. A nil *Cache is valid and disables memoization.
+// Cached front-end output is pristine: every compilation gets a fresh
+// deep copy (ir.Program.Clone), so concurrent compilations never share
+// mutable IR; only the training run reads the cached program itself.
+// Cached Stats are never handed out either: every caller, the filling
+// one included, gets its own copy. Cached profile databases are shared
+// without copying — profile.Data.Attach only reads the database. A nil
+// *Cache is valid and disables memoization.
 //
 // Hits are observationally identical to misses apart from wall time and
 // flight-recorder attribution: the same pipeline spans are emitted, the
@@ -129,24 +130,44 @@ func (c *Cache) Frontend(sources []string) (*ir.Program, error) {
 // parse happens per source set, so merged attribution stays
 // deterministic.
 func (c *Cache) frontend(sources []string, rec *obs.Recorder) (*ir.Program, bool, error) {
+	p, hit, err := c.parsed(sources, rec)
+	if err != nil {
+		return nil, hit, err
+	}
+	if c == nil {
+		return p, false, nil
+	}
+	sp := rec.Begin("frontend/clone")
+	p = p.Clone()
+	sp.End()
+	return p, hit, nil
+}
+
+// parsed is frontend without the copy: on a cache it returns the
+// memoized program itself, which every caller shares and none may
+// mutate. The fill computes every Func.Size memo before publishing, so
+// readers such as programCost never write to it either. On a nil cache
+// the program is the caller's own.
+func (c *Cache) parsed(sources []string, rec *obs.Recorder) (*ir.Program, bool, error) {
 	parse := func(context.Context) (*ir.Program, error) {
 		sp := rec.Begin("frontend/parse")
 		defer sp.End()
-		return Frontend(sources)
+		p, err := Frontend(sources)
+		if err != nil {
+			return nil, err
+		}
+		p.Funcs(func(f *ir.Func) bool {
+			f.Size()
+			return true
+		})
+		return p, nil
 	}
 	if c == nil {
 		p, err := parse(context.Background())
 		return p, false, err
 	}
 	p, ev, err := c.frontends.Do(context.Background(), sourceKey(sources), parse)
-	hit := ev&memo.Shared != 0
-	if err != nil {
-		return nil, hit, err
-	}
-	sp := rec.Begin("frontend/clone")
-	p = p.Clone()
-	sp.End()
-	return p, hit, nil
+	return p, ev&memo.Shared != 0, err
 }
 
 // trainProfile memoizes the PBO training stage: instrumented build,
@@ -203,13 +224,14 @@ func (c *Cache) TrainProfileObs(ctx context.Context, sources []string, train []i
 }
 
 // train runs the training stage, reusing the front-end cache for the
-// instrumented build. Error messages match the historical uncached
-// paths exactly. Each interpreter execution runs inside a "train/run"
-// span on rec (the filling requester's recorder), so the attribution
-// report separates training interpretation from the rest of the train
-// stage's bookkeeping.
+// instrumented build: it interprets the memoized program itself, since
+// the interpreter only reads the IR. Error messages match the
+// historical uncached paths exactly. Each interpreter execution runs
+// inside a "train/run" span on rec (the filling requester's recorder),
+// so the attribution report separates training interpretation from the
+// rest of the train stage's bookkeeping.
 func (c *Cache) train(ctx context.Context, sources []string, train []int64, extras [][]int64, rec *obs.Recorder) (*trainEntry, error) {
-	trainProg, _, err := c.frontend(sources, rec)
+	trainProg, _, err := c.parsed(sources, rec)
 	if err != nil {
 		return nil, err
 	}

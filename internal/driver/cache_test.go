@@ -2,6 +2,7 @@ package driver_test
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/driver"
@@ -87,9 +88,10 @@ func TestCacheEquivalence(t *testing.T) {
 
 	// The cache-attribution leaves are where the three runs must differ.
 	// Uncached: every stage parses for itself, nothing is cloned. Cold:
-	// one parse feeds both the frontend stage and the training build (the
-	// latter sees a hit and clones). Warm: no parse, no training run —
-	// clones only — and the simulation replays the cold run's.
+	// one parse feeds both the frontend stage, which clones it, and the
+	// training build, which interprets the cached program itself. Warm:
+	// no parse, no training run — one clone only — and the simulation
+	// replays the cold run's.
 	count := func(spans []obs.Span, name string) int {
 		n := 0
 		for _, sp := range spans {
@@ -105,7 +107,7 @@ func TestCacheEquivalence(t *testing.T) {
 		parses, clones, trainRun, simHits int
 	}{
 		{"no cache", baseSpans, 2, 0, 2, 0},
-		{"cold cache", coldSpans, 1, 2, 2, 0},
+		{"cold cache", coldSpans, 1, 1, 2, 0},
 		{"warm cache", warmSpans, 0, 1, 0, 1},
 	} {
 		if got := count(check.spans, "frontend/parse"); got != check.parses {
@@ -165,6 +167,56 @@ func TestCacheSharesTrainingAcrossScopes(t *testing.T) {
 	}
 	if p.Stats == cp.Stats {
 		t.Error("p and cp scopes produced identical stats — scope not applied?")
+	}
+}
+
+// TestCacheConcurrentTrainingSharesFrontEnd compiles one benchmark at
+// peak from four goroutines at once on one cache: two training input
+// vectors, each under both scopes. Both training runs interpret the
+// cached front-end program itself while the compiles clone it, so
+// under -race this checks that nothing writes to the shared copy; and
+// each build must match the same build made without a cache.
+func TestCacheConcurrentTrainingSharesFrontEnd(t *testing.T) {
+	b, err := specsuite.ByName("022.li")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type build struct {
+		train []int64
+		cross bool
+	}
+	builds := []build{{b.Train, false}, {b.Train, true}, {[]int64{3, 2}, false}, {[]int64{3, 2}, true}}
+	compile := func(bd build, cache *driver.Cache) (*driver.Compilation, error) {
+		opts := driver.DefaultOptions(bd.train)
+		opts.CrossModule = bd.cross
+		opts.Cache = cache
+		return driver.Compile(b.Sources, opts)
+	}
+	cache := driver.NewCache()
+	got := make([]*driver.Compilation, len(builds))
+	errs := make([]error, len(builds))
+	var wg sync.WaitGroup
+	for i, bd := range builds {
+		wg.Add(1)
+		go func(i int, bd build) {
+			defer wg.Done()
+			got[i], errs[i] = compile(bd, cache)
+		}(i, bd)
+	}
+	wg.Wait()
+	for i, bd := range builds {
+		if errs[i] != nil {
+			t.Fatalf("train %v cross %v: %v", bd.train, bd.cross, errs[i])
+		}
+		want, err := compile(bd, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i].Stats != want.Stats || got[i].CompileCost != want.CompileCost || got[i].CodeSize != want.CodeSize {
+			t.Errorf("train %v cross %v: cached build %+v cost %d size %d, uncached %+v cost %d size %d",
+				bd.train, bd.cross, got[i].Stats, got[i].CompileCost, got[i].CodeSize,
+				want.Stats, want.CompileCost, want.CodeSize)
+		}
 	}
 }
 

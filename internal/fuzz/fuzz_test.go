@@ -23,38 +23,48 @@ func TestFuzzSmoke(t *testing.T) {
 	}
 }
 
-// TestInjectedBugCaughtAndMinimized mutation-tests the oracles: with
-// core.BugInlineSwapArgs injected (performInline swaps the first two
-// actuals — structurally valid IR, so only behavioural oracles can
-// notice), the fuzzer must find a divergence quickly, and the greedy
-// minimizer must shrink the reproducer to a handful of lines that still
-// fails under the bug but passes under the clean compiler.
+// TestInjectedBugCaughtAndMinimized mutation-tests the oracles with
+// each of core's injectable bugs: core.BugInlineSwapArgs (performInline
+// swaps the first two actuals — structurally valid IR, so only
+// behavioural oracles can notice) and core.BugInlineBadReg (a write to
+// a register past the caller's register file, which VerifyEach
+// rejects). For each, the fuzzer must find divergences quickly, and the
+// greedy minimizer must shrink each of the first three reproducers to a
+// program that still fails under the bug but passes under the clean
+// compiler, the first to a handful of lines. Minimizing recompiles many
+// variants of each program, so it also checks that no variant crashes
+// the compiler.
 func TestInjectedBugCaughtAndMinimized(t *testing.T) {
-	cfg := Config{InjectBug: core.BugInlineSwapArgs}
-	var fail *Failure
-	for seed := int64(1); seed <= 64; seed++ {
-		if fail = CheckSeed(seed, cfg); fail != nil {
-			break
-		}
-	}
-	if fail == nil {
-		t.Fatalf("injected bug %q not caught in 64 seeds", core.BugInlineSwapArgs)
-	}
-	t.Logf("caught: %v", fail)
-
-	min := Minimize(fail.Sources, func(cand []string) bool {
-		r := CheckSources(cand, fail.Inputs, fail.Train, cfg)
-		return r != nil && r.Kind == fail.Kind && r.Cell == fail.Cell
-	})
-	if n := LineCount(min); n > 25 {
-		t.Errorf("minimized reproducer is %d lines, want <= 25:\n%s",
-			n, strings.Join(min, "// ===module===\n"))
-	}
-	if r := CheckSources(min, fail.Inputs, fail.Train, cfg); r == nil {
-		t.Errorf("minimized reproducer no longer fails under the injected bug")
-	}
-	if r := CheckSources(min, fail.Inputs, fail.Train, Config{}); r != nil {
-		t.Errorf("minimized reproducer fails even without the injected bug: %v", r)
+	for _, bug := range []string{core.BugInlineSwapArgs, core.BugInlineBadReg} {
+		t.Run(bug, func(t *testing.T) {
+			cfg := Config{InjectBug: bug}
+			var fails []*Failure
+			for seed := int64(1); seed <= 64 && len(fails) < 3; seed++ {
+				if fail := CheckSeed(seed, cfg); fail != nil {
+					fails = append(fails, fail)
+				}
+			}
+			if len(fails) == 0 {
+				t.Fatalf("injected bug %q not caught in 64 seeds", bug)
+			}
+			for i, fail := range fails {
+				t.Logf("caught: %v", fail)
+				min := Minimize(fail.Sources, func(cand []string) bool {
+					r := CheckSources(cand, fail.Inputs, fail.Train, cfg)
+					return r != nil && r.Kind == fail.Kind && r.Cell == fail.Cell
+				})
+				if n := LineCount(min); i == 0 && n > 25 {
+					t.Errorf("seed %d: minimized reproducer is %d lines, want <= 25:\n%s",
+						fail.Seed, n, strings.Join(min, "// ===module===\n"))
+				}
+				if r := CheckSources(min, fail.Inputs, fail.Train, cfg); r == nil {
+					t.Errorf("seed %d: minimized reproducer no longer fails under the injected bug", fail.Seed)
+				}
+				if r := CheckSources(min, fail.Inputs, fail.Train, Config{}); r != nil {
+					t.Errorf("seed %d: minimized reproducer fails even without the injected bug: %v", fail.Seed, r)
+				}
+			}
+		})
 	}
 }
 

@@ -84,7 +84,7 @@ func TestMergeChainsFoldsThreeBlockChain(t *testing.T) {
 		[]ir.Instr{{Op: ir.Add, Dst: 1, A: ir.RegOp(0), B: ir.ConstOp(2)}, {Op: ir.Jmp, Then: 2}},
 		[]ir.Instr{{Op: ir.Ret, A: ir.RegOp(1)}},
 	)
-	if !mergeChains(f) {
+	if !new(cleanState).mergeChains(f) {
 		t.Fatal("no change reported")
 	}
 	if got := f.Blocks[0].Instrs; len(got) != 3 || got[1].Op != ir.Add || got[2].Op != ir.Ret {
@@ -104,7 +104,7 @@ func TestMergeChainsKeepsLoopBackToAbsorber(t *testing.T) {
 		[]ir.Instr{{Op: ir.Add, Dst: 1, A: ir.RegOp(1), B: ir.ConstOp(1)}, {Op: ir.Jmp, Then: 2}},
 		[]ir.Instr{{Op: ir.Store, A: ir.GlobalOp("g"), B: ir.RegOp(1)}, {Op: ir.Jmp, Then: 1}},
 	)
-	if !mergeChains(f) {
+	if !new(cleanState).mergeChains(f) {
 		t.Fatal("no change reported")
 	}
 	Cleanup(f)

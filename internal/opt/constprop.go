@@ -23,9 +23,11 @@ import (
 // lv is a three-level constant lattice cell: top (no information yet),
 // bottom (varying), or an interned link-time constant operand (integer,
 // global address, or function address), stored as its index into the
-// per-call table cpState.consts. Interning through a map keyed by the
-// whole Operand makes two constant cells equal exactly when their
-// operands are Eq, so a merge is an integer compare.
+// per-call table cpState.consts. Interning integers by value and
+// addresses through a map keyed by the whole Operand makes two constant
+// cells equal exactly when their operands are Eq (for canonical
+// operands, whose unused fields are zero), so a merge is an integer
+// compare.
 type lv int32
 
 const (
@@ -59,7 +61,9 @@ func (e env) set(r ir.Reg, v lv) {
 // cpState is ConstProp's pooled working memory: one lv slab carved into
 // per-block environments plus the out scratch, the per-block flags, the
 // reverse postorder with its DFS stack, the per-block delta lists, the
-// sparse-meet scratch, and the constant table with its intern index.
+// sparse-meet scratch, and the constant table with its two intern
+// indexes, integers by value and addresses by operand, so interning an
+// integer hashes no string.
 // Pooling it matters: the per-visit env clones the pool replaces were
 // the compiler's largest allocation source (≈36% of all bytes over a
 // Table 1 run), and the GC cycles they forced also drained the
@@ -73,7 +77,8 @@ type cpState struct {
 	deltas [][]ir.Reg // deltas[b]: registers whose ins[b] cell changed since b was last processed
 	sparse []ir.Reg
 	consts []ir.Operand // consts[v] for every constant cell v; [0:2] unused
-	ids    map[ir.Operand]lv
+	ints   map[int64]lv
+	addrs  map[ir.Operand]lv
 }
 
 // dfsFrame is one entry of rpo's DFS stack: a block and how many of its
@@ -81,18 +86,50 @@ type cpState struct {
 type dfsFrame struct{ b, i int }
 
 var cpPool = sync.Pool{New: func() any {
-	return &cpState{consts: make([]ir.Operand, 2), ids: make(map[ir.Operand]lv)}
+	return &cpState{consts: make([]ir.Operand, 2), ints: make(map[int64]lv), addrs: make(map[ir.Operand]lv)}
 }}
 
-// intern returns the constant cell of op.
-func (st *cpState) intern(op ir.Operand) lv {
-	if v, ok := st.ids[op]; ok {
+// internInt returns the constant cell of the integer x.
+func (st *cpState) internInt(x int64) lv {
+	if v, ok := st.ints[x]; ok {
+		return v
+	}
+	v := lv(len(st.consts))
+	st.consts = append(st.consts, ir.ConstOp(x))
+	st.ints[x] = v
+	return v
+}
+
+// internAddr returns the constant cell of the address operand op.
+func (st *cpState) internAddr(op ir.Operand) lv {
+	if v, ok := st.addrs[op]; ok {
 		return v
 	}
 	v := lv(len(st.consts))
 	st.consts = append(st.consts, op)
-	st.ids[op] = v
+	st.addrs[op] = v
 	return v
+}
+
+// val is the lattice cell of operand o in environment e.
+func (st *cpState) val(o ir.Operand, e env) lv {
+	switch o.Kind {
+	case ir.KindConst:
+		return st.internInt(o.Val)
+	case ir.KindGlobalAddr, ir.KindFuncAddr:
+		return st.internAddr(o)
+	case ir.KindReg:
+		return e.get(o.Reg)
+	}
+	return bottom
+}
+
+// intConst reports whether v is an integer constant, and its value.
+func (st *cpState) intConst(v lv) (int64, bool) {
+	if !v.isConst() || !st.consts[v].IsConst() {
+		return 0, false
+	}
+	return st.consts[v].Val, true
 }
 
 // meet is the lattice meet of a successor's cell n with an out cell o:
@@ -161,7 +198,12 @@ func constProp(f *ir.Func, w *Work) bool {
 	nb, nr := len(f.Blocks), int(f.NumRegs)
 	st := cpPool.Get().(*cpState)
 	defer cpPool.Put(st)
-	clear(st.ids)
+	if len(st.ints) > 0 {
+		clear(st.ints)
+	}
+	if len(st.addrs) > 0 {
+		clear(st.addrs)
+	}
 	st.consts = st.consts[:2]
 	if need := (nb + 1) * nr; cap(st.slab) < need {
 		st.slab = make([]lv, need)
@@ -319,28 +361,12 @@ func constProp(f *ir.Func, w *Work) bool {
 
 // transfer updates the lattice environment across one instruction.
 func (st *cpState) transfer(in *ir.Instr, e env) {
-	val := func(o ir.Operand) lv {
-		switch o.Kind {
-		case ir.KindConst, ir.KindGlobalAddr, ir.KindFuncAddr:
-			return st.intern(o)
-		case ir.KindReg:
-			return e.get(o.Reg)
-		}
-		return bottom
-	}
-	// intConst reports whether v is an integer constant, and its value.
-	intConst := func(v lv) (int64, bool) {
-		if !v.isConst() || !st.consts[v].IsConst() {
-			return 0, false
-		}
-		return st.consts[v].Val, true
-	}
 	switch in.Op {
 	case ir.Mov:
-		e.set(in.Dst, val(in.A))
+		e.set(in.Dst, st.val(in.A, e))
 	case ir.Neg, ir.Not:
-		a := val(in.A)
-		if v, ok := intConst(a); ok {
+		a := st.val(in.A, e)
+		if v, ok := st.intConst(a); ok {
 			if in.Op == ir.Neg {
 				v = -v
 			} else if v == 0 {
@@ -348,7 +374,7 @@ func (st *cpState) transfer(in *ir.Instr, e env) {
 			} else {
 				v = 0
 			}
-			e.set(in.Dst, st.intern(ir.ConstOp(v)))
+			e.set(in.Dst, st.internInt(v))
 		} else if a != top {
 			e.set(in.Dst, bottom)
 		} else {
@@ -361,19 +387,19 @@ func (st *cpState) transfer(in *ir.Instr, e env) {
 	case ir.Store, ir.Ret, ir.Br, ir.Jmp, ir.Nop:
 	default:
 		if in.Op.IsBinary() {
-			a, b := val(in.A), val(in.B)
-			x, xok := intConst(a)
-			y, yok := intConst(b)
+			a, b := st.val(in.A, e), st.val(in.B, e)
+			x, xok := st.intConst(a)
+			y, yok := st.intConst(b)
 			switch {
 			case xok && yok:
-				e.set(in.Dst, st.intern(ir.ConstOp(interp.EvalBinary(in.Op, x, y))))
+				e.set(in.Dst, st.internInt(interp.EvalBinary(in.Op, x, y)))
 			case a == bottom || b == bottom:
 				e.set(in.Dst, bottom)
 			case a.isConst() && b.isConst():
 				// Symbolic constants (addresses): comparisons of identical
 				// symbols fold; everything else is varying but link-constant.
 				if in.Op.IsCompare() && a == b {
-					e.set(in.Dst, st.intern(ir.ConstOp(interp.EvalBinary(in.Op, 1, 1))))
+					e.set(in.Dst, st.internInt(interp.EvalBinary(in.Op, 1, 1)))
 				} else {
 					e.set(in.Dst, bottom)
 				}

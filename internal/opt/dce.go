@@ -19,6 +19,8 @@ type regSet []uint64
 // per-block set headers, and the two scratch slices. Contents are
 // fully reinitialized on checkout (the slab by clearing, the scratch
 // slices by truncation), so nothing observable leaks between calls.
+// The slab holds four sets per block (live-in, live-out, and the
+// block's upward-exposed uses and definitions) plus one scratch set.
 type dceState struct {
 	slab    []uint64
 	sets    []regSet
@@ -49,60 +51,74 @@ func (s regSet) unionInto(o regSet) bool {
 // interprocedural-analysis deletion of do-nothing library calls, as in
 // the 072.sc curses library). It reports whether anything changed.
 func DCE(f *ir.Func, pure Purity) bool {
-	// One pooled backing array holds every block's in/out set, and one
-	// scratch set serves the per-visit transfer — the per-block clones
-	// used to be a noticeable slice of the compiler's allocation volume,
-	// and after the slab consolidation the slab itself still was (~18%
-	// of all bytes over a Table 1 run), so it is now checked out of a
+	// One pooled backing array holds every block's sets, and one scratch
+	// set serves the removal walk — the per-block clones used to be a
+	// noticeable slice of the compiler's allocation volume, and after
+	// the slab consolidation the slab itself still was (~18% of all
+	// bytes over a Table 1 run), so it is now checked out of a
 	// sync.Pool and cleared: a memclr is far cheaper than the GC load
 	// of a fresh allocation per call.
 	nb := len(f.Blocks)
 	w := int(f.NumRegs+63) / 64
 	st := dcePool.Get().(*dceState)
 	defer dcePool.Put(st)
-	if need := (2*nb + 1) * w; cap(st.slab) < need {
+	if need := (4*nb + 1) * w; cap(st.slab) < need {
 		st.slab = make([]uint64, need)
 	} else {
 		clear(st.slab[:need])
 	}
-	slab := st.slab[:(2*nb+1)*w]
-	if cap(st.sets) < 2*nb {
-		st.sets = make([]regSet, 2*nb)
+	slab := st.slab[:(4*nb+1)*w]
+	if cap(st.sets) < 4*nb {
+		st.sets = make([]regSet, 4*nb)
 	}
 	liveIn := st.sets[:nb]
 	liveOut := st.sets[nb : 2*nb]
+	uses := st.sets[2*nb : 3*nb]
+	defs := st.sets[3*nb : 4*nb]
 	for i := range f.Blocks {
 		liveIn[i], slab = slab[:w:w], slab[w:]
 		liveOut[i], slab = slab[:w:w], slab[w:]
+		uses[i], slab = slab[:w:w], slab[w:]
+		defs[i], slab = slab[:w:w], slab[w:]
 	}
-	in := regSet(slab[:w:w])
+	live := regSet(slab[:w:w])
 	scratch := st.scratch
 	defer func() { st.scratch = scratch[:0] }()
+	// A block's live-in is uses ∪ (live-out − defs), where uses are the
+	// registers read before any definition in the block: the backward
+	// walk below, started from the empty set, computes exactly what the
+	// same walk started from live-out adds to it. So the walk runs once
+	// per block, and each fixpoint visit is word arithmetic.
+	for bi, b := range f.Blocks {
+		for i := len(b.Instrs) - 1; i >= 0; i-- {
+			instr := &b.Instrs[i]
+			if instr.HasDst() {
+				uses[bi].del(instr.Dst)
+				defs[bi].add(instr.Dst)
+			}
+			scratch = instr.Uses(scratch[:0])
+			for _, r := range scratch {
+				uses[bi].add(r)
+			}
+		}
+	}
 	// Iterate to a liveness fixpoint.
 	for {
 		changed := false
 		for bi := len(f.Blocks) - 1; bi >= 0; bi-- {
-			b := f.Blocks[bi]
 			out := liveOut[bi]
-			ss, n := b.Succs()
+			ss, n := f.Blocks[bi].Succs()
 			for _, s := range ss[:n] {
 				if out.unionInto(liveIn[s]) {
 					changed = true
 				}
 			}
-			copy(in, out)
-			for i := len(b.Instrs) - 1; i >= 0; i-- {
-				instr := &b.Instrs[i]
-				if instr.HasDst() {
-					in.del(instr.Dst)
+			in, gen, kill := liveIn[bi], uses[bi], defs[bi]
+			for i, o := range out {
+				if n := in[i] | gen[i] | o&^kill[i]; n != in[i] {
+					in[i] = n
+					changed = true
 				}
-				scratch = instr.Uses(scratch[:0])
-				for _, r := range scratch {
-					in.add(r)
-				}
-			}
-			if liveIn[bi].unionInto(in) {
-				changed = true
 			}
 		}
 		if !changed {
@@ -112,7 +128,6 @@ func DCE(f *ir.Func, pure Purity) bool {
 
 	// Remove dead instructions with a backward scan per block.
 	removedAny := false
-	live := in // reuse the scratch set
 	keepRev := st.keepRev
 	defer func() { st.keepRev = keepRev[:0] }()
 	for bi, b := range f.Blocks {

@@ -6,3 +6,6 @@ var FoldInstr = foldInstr
 
 // ConstPropWork is ConstProp adding its block visits and met cells to w.
 var ConstPropWork = constProp
+
+// LocalCSEWork is LocalCSE adding the facts its kills examined to w.
+var LocalCSEWork = localCSE

@@ -13,6 +13,7 @@ type Work struct {
 	Rounds   int64 // pipeline rounds Optimize ran
 	CPVisits int64 // ConstProp block processings
 	CPCells  int64 // register cells ConstProp met on CFG edges, first-reach copies excluded
+	CSEScans int64 // facts LocalCSE's kills examined
 }
 
 // Optimize runs the scalar pipeline on one function to a bounded
@@ -29,7 +30,7 @@ func Optimize(f *ir.Func, pure Purity, w *Work) bool {
 		}
 		changed := constProp(f, w)
 		changed = Cleanup(f) || changed
-		changed = LocalCSE(f) || changed
+		changed = localCSE(f, w) || changed
 		changed = DCE(f, pure) || changed
 		changed = Cleanup(f) || changed
 		if !changed {

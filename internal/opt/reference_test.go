@@ -2,6 +2,7 @@ package opt_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/driver"
@@ -72,10 +73,44 @@ func stageProgram(tb testing.TB, cache *driver.Cache, p corpusProgram, stop int)
 	return c.IR
 }
 
-// corpusStops are the stages TestConstPropMatchesReference and
+// corpusStops are the stages the reference tests and
 // TestOptimizeConvergedStaysConverged draw functions from: raw, mid-HLO
 // and post-HLO.
 var corpusStops = []int{-1, 2, 8, 0}
+
+// stagedProgram is one corpus program at one stage of its peak build.
+type stagedProgram struct {
+	name string // program and stage
+	prog *ir.Program
+}
+
+var (
+	stagedOnce sync.Once
+	staged     []stagedProgram
+)
+
+// stagedCorpus returns the reference tests' corpus, the specsuite and
+// 100 randprog programs, at every stage in corpusStops. It is built
+// once per test binary and shared, so callers must not mutate it: they
+// optimize clones of its functions.
+func stagedCorpus(tb testing.TB) []stagedProgram {
+	stagedOnce.Do(func() {
+		progs := specPrograms()
+		for seed := int64(1); seed <= 100; seed++ {
+			progs = append(progs, randProgram(seed, seed%2 == 0))
+		}
+		cache := driver.NewCache()
+		for _, p := range progs {
+			for _, stop := range corpusStops {
+				staged = append(staged, stagedProgram{fmt.Sprintf("%s stop %d", p.name, stop), stageProgram(tb, cache, p, stop)})
+			}
+		}
+	})
+	if len(staged) == 0 {
+		tb.Fatal("the staged corpus failed to build")
+	}
+	return staged
+}
 
 // matchReference runs three ConstProp+Cleanup rounds on a clone of f
 // and three reference rounds on another, adding each side's work to
@@ -110,24 +145,17 @@ func matchReference(t *testing.T, name string, f *ir.Func, work, refWork *opt.Wo
 // reference's: reverse postorder and delta merges are what make it
 // cheaper, and a regression to either shows here as a count.
 func TestConstPropMatchesReference(t *testing.T) {
-	progs := specPrograms()
-	for seed := int64(1); seed <= 100; seed++ {
-		progs = append(progs, randProgram(seed, seed%2 == 0))
-	}
-	cache := driver.NewCache()
 	compared, changed := 0, 0
 	var work, refWork opt.Work
-	for _, p := range progs {
-		for _, stop := range corpusStops {
-			for _, f := range stageProgram(t, cache, p, stop).AllFuncs() {
-				if matchReference(t, fmt.Sprintf("%s stop %d %s", p.name, stop, f.QName), f, &work, &refWork) {
-					changed++
-				}
-				compared++
+	for _, sp := range stagedCorpus(t) {
+		for _, f := range sp.prog.AllFuncs() {
+			if matchReference(t, sp.name+" "+f.QName, f, &work, &refWork) {
+				changed++
 			}
+			compared++
 		}
 	}
-	t.Logf("%d programs, %d functions compared, %d changed by ConstProp", len(progs), compared, changed)
+	t.Logf("%d functions compared, %d changed by ConstProp", compared, changed)
 	t.Logf("block visits %d, reference %d; cells met %d, reference %d",
 		work.CPVisits, refWork.CPVisits, work.CPCells, refWork.CPCells)
 	if 2*work.CPVisits > refWork.CPVisits || 2*work.CPCells > refWork.CPCells {
